@@ -6,7 +6,7 @@
 // With -delta it instead diffs exactly two compiled ontologies and
 // emits the knowledge-delta log (one JSON delta per line) that evolves
 // the first into the second — the input format of the stopss-server
-// -kb-watch flag and POST /api/kb admin endpoint, which replicate the
+// -kb-watch flag and POST /api/v1/kb admin endpoint, which replicate the
 // deltas across the broker federation at runtime.
 //
 // Usage:

@@ -6,7 +6,7 @@
 // DURABLY (requires -journal-dir on the server) and receive their
 // notifications on a local TCP endpoint that the generator
 // periodically kills and revives (-churn-interval), issuing
-// /api/resume on every revival — exercising park, catch-up replay and
+// /api/v1/resume on every revival — exercising park, catch-up replay and
 // at-least-once delivery under subscriber churn.
 //
 // With -store-churn N the generator runs a different, in-process
@@ -202,10 +202,10 @@ func run(url string, companies, resumes, concurrency int, seed int64, durableFra
 		if durable {
 			reg["transport"], reg["addr"] = "tcp", ep.addr
 		}
-		if _, err := post(url+"/api/register", reg); err != nil {
+		if _, err := post(url+"/api/v1/register", reg); err != nil {
 			return fmt.Errorf("register %s: %w", s.Subscriber, err)
 		}
-		if _, err := post(url+"/api/subscribe", map[string]any{
+		if _, err := post(url+"/api/v1/subscribe", map[string]any{
 			"client":       s.Subscriber,
 			"subscription": sublang.FormatSubscription(s.Preds),
 			"durable":      durable,
@@ -258,7 +258,7 @@ func run(url string, companies, resumes, concurrency int, seed int64, durableFra
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(events); i += concurrency {
-				out, err := post(url+"/api/publish", map[string]string{
+				out, err := post(url+"/api/v1/publish", map[string]string{
 					"event": sublang.FormatEvent(events[i]),
 				})
 				if err != nil {
@@ -302,7 +302,7 @@ func run(url string, companies, resumes, concurrency int, seed int64, durableFra
 		matches.Load(), float64(matches.Load())/float64(published.Load()))
 
 	// Server-side stats.
-	resp, err := http.Get(url + "/api/stats")
+	resp, err := http.Get(url + "/api/v1/stats")
 	if err != nil {
 		return err
 	}
@@ -330,7 +330,7 @@ func run(url string, companies, resumes, concurrency int, seed int64, durableFra
 	if nDurable > 0 {
 		fmt.Printf("durable:    %v subs, %v acked, %v parked, %v replayed; endpoint received %d\n",
 			stats["Durable"], stats["Acked"], stats["Parked"], stats["Replayed"], ep.received())
-		if resp, err := http.Get(url + "/api/journal"); err == nil {
+		if resp, err := http.Get(url + "/api/v1/journal"); err == nil {
 			var jb map[string]any
 			if json.NewDecoder(resp.Body).Decode(&jb) == nil {
 				fmt.Printf("journal:    %v\n", jb["stats"])
@@ -342,12 +342,12 @@ func run(url string, companies, resumes, concurrency int, seed int64, durableFra
 }
 
 // resumeAll issues replay-from-cursor for every durable subscription
-// of the named clients (id lookup via /api/subscriptions) and returns
+// of the named clients (id lookup via /api/v1/subscriptions) and returns
 // the total number of notifications the server re-dispatched.
 func resumeAll(url string, clients []string) int {
 	total := 0
 	for _, c := range clients {
-		resp, err := http.Get(url + "/api/subscriptions?client=" + c)
+		resp, err := http.Get(url + "/api/v1/subscriptions?client=" + c)
 		if err != nil {
 			log.Printf("churn: listing subs of %s: %v", c, err)
 			continue
@@ -364,7 +364,7 @@ func resumeAll(url string, clients []string) int {
 			continue
 		}
 		for _, s := range body.Subscriptions {
-			out, err := post(url+"/api/resume", map[string]any{"client": c, "id": s.ID})
+			out, err := post(url+"/api/v1/resume", map[string]any{"client": c, "id": s.ID})
 			if err != nil {
 				log.Printf("churn: resume %s/%v: %v", c, s.ID, err)
 				continue

@@ -115,7 +115,6 @@ func main() {
 	nodeName := flag.String("node", "", "overlay node name (default: the -addr value)")
 	overlayAddr := flag.String("overlay", "", "overlay TCP listen address for peer brokers (empty: no listener)")
 	flag.Var(&peers, "peer", "overlay peer address to connect to (repeatable)")
-	wireCodec := flag.String("wire-codec", "binary", "highest overlay wire codec to offer: binary (compact framing, negotiated per link) or json (force the legacy framing, e.g. while old brokers are being upgraded)")
 	kbWatch := flag.String("kb-watch", "", "JSONL knowledge-delta file (ontc -delta output) polled for appended deltas to inject at runtime")
 	kbWatchInterval := flag.Duration("kb-watch-interval", time.Second, "poll interval for -kb-watch (must be > 0; sub-second values pick up appends nearly live)")
 	journalDir := flag.String("journal-dir", "", "publication-journal directory: enables durable subscriptions with at-least-once catch-up delivery")
@@ -131,8 +130,8 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a runtime/trace capture to this file until shutdown (inspect with `go tool trace`)")
 	traceSample := flag.Int("trace-sample", 1, "keep the span tree of 1 in N publications (1 = all, 0 = off; dead-lettered deliveries are always kept)")
 	traceCapacity := flag.Int("trace-capacity", 0, "bound on retained publication traces (0 = default)")
-	opsInterval := flag.Duration("ops-interval", 10*time.Second, "broker health-summary gossip refresh period for GET /api/cluster (0: refresh only on link establishment)")
-	opsStaleAfter := flag.Duration("ops-stale-after", 0, "age past which a peer's gossiped health summary is flagged stale in GET /api/cluster (0 = 30s)")
+	opsInterval := flag.Duration("ops-interval", 10*time.Second, "broker health-summary gossip refresh period for GET /api/v1/cluster (0: refresh only on link establishment)")
+	opsStaleAfter := flag.Duration("ops-stale-after", 0, "age past which a peer's gossiped health summary is flagged stale in GET /api/v1/cluster (0 = 30s)")
 	flag.Parse()
 	lg, err := buildLogger(os.Stderr, *logFormat, *logLevel)
 	if err != nil {
@@ -151,9 +150,6 @@ func main() {
 	}
 	if *journalSegBytes <= 0 {
 		fatal("stopss-server: -journal-segment-bytes must be positive", "bytes", *journalSegBytes)
-	}
-	if *wireCodec != "binary" && *wireCodec != "json" {
-		fatal("stopss-server: -wire-codec must be binary or json", "codec", *wireCodec)
 	}
 	opts := stackOptions{
 		Addr:           *addr,
@@ -191,7 +187,7 @@ func main() {
 	if *storeDir != "" {
 		scfg.Path = filepath.Join(*storeDir, "subs.heap")
 	}
-	if err := run(opts, *snapshot, *nodeName, *overlayAddr, peers, *wireCodec, *kbWatch, *kbWatchInterval, jcfg, scfg, obs); err != nil {
+	if err := run(opts, *snapshot, *nodeName, *overlayAddr, peers, *kbWatch, *kbWatchInterval, jcfg, scfg, obs); err != nil {
 		fatal("stopss-server: fatal", "err", err)
 	}
 }
@@ -286,7 +282,7 @@ func buildStack(opts stackOptions) (*broker.Broker, *notify.Engine, func(), erro
 	return broker.New(engine, notifier), notifier, cleanup, nil
 }
 
-func run(opts stackOptions, snapshot, nodeName, overlayAddr string, peers []string, wireCodec string, kbWatch string, kbWatchInterval time.Duration, jcfg journal.Config, scfg store.Config, obs obsOptions) error {
+func run(opts stackOptions, snapshot, nodeName, overlayAddr string, peers []string, kbWatch string, kbWatchInterval time.Duration, jcfg journal.Config, scfg store.Config, obs obsOptions) error {
 	// Execution tracing and the profiling surface come up first so they
 	// cover the boot path (journal replay, snapshot restore, overlay
 	// joins) — often exactly what needs profiling.
@@ -410,7 +406,6 @@ func run(opts stackOptions, snapshot, nodeName, overlayAddr string, peers []stri
 			Listen:        overlayAddr,
 			Peers:         peers,
 			Transport:     overlay.TCP(), // production: real sockets
-			DisableBinary: wireCodec == "json",
 			Registry:      reg,
 			TraceSample:   sample,
 			TraceCapacity: obs.TraceCapacity,

@@ -50,12 +50,12 @@ func TestServerStackEndToEnd(t *testing.T) {
 		return out
 	}
 
-	post("/api/register", map[string]any{"name": "acme"})
-	post("/api/subscribe", map[string]any{
+	post("/api/v1/register", map[string]any{"name": "acme"})
+	post("/api/v1/subscribe", map[string]any{
 		"client":       "acme",
 		"subscription": "(university = Toronto) and (professional experience >= 4)",
 	})
-	out := post("/api/publish", map[string]any{
+	out := post("/api/v1/publish", map[string]any{
 		"event": "(school, Toronto)(graduation year, 1990)",
 	})
 	if ms := out["matches"].([]any); len(ms) != 1 {
@@ -197,7 +197,7 @@ func TestServerStackSharded(t *testing.T) {
 	defer ts.Close()
 
 	buf, _ := json.Marshal(map[string]any{"name": "acme"})
-	resp, err := http.Post(ts.URL+"/api/register", "application/json", bytes.NewReader(buf))
+	resp, err := http.Post(ts.URL+"/api/v1/register", "application/json", bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestServerStackSharded(t *testing.T) {
 		"client":       "acme",
 		"subscription": "(university = Toronto) and (professional experience >= 4)",
 	})
-	resp, err = http.Post(ts.URL+"/api/subscribe", "application/json", bytes.NewReader(buf))
+	resp, err = http.Post(ts.URL+"/api/v1/subscribe", "application/json", bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}

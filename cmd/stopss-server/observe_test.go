@@ -165,7 +165,7 @@ func TestThreeBrokerClusterView(t *testing.T) {
 // TestTwoBrokerObservability is the integration scenario behind the CI
 // observability step: two brokers federate over TCP, a publication
 // flows b1→b2, both /metrics endpoints expose non-zero stage
-// histograms, and the origin's /api/trace returns the complete span
+// histograms, and the origin's /api/v1/trace returns the complete span
 // chain including the remote deliver reported back over the overlay.
 func TestTwoBrokerObservability(t *testing.T) {
 	b1 := startObsBroker(t, "b1")
@@ -190,8 +190,8 @@ func TestTwoBrokerObservability(t *testing.T) {
 	}
 
 	// Subscriber on b2; wait for its interest to flood to b1.
-	api(b2, "/api/register", map[string]any{"name": "acme", "transport": "sms", "addr": "555-0100"})
-	api(b2, "/api/subscribe", map[string]any{
+	api(b2, "/api/v1/register", map[string]any{"name": "acme", "transport": "sms", "addr": "555-0100"})
+	api(b2, "/api/v1/subscribe", map[string]any{
 		"client": "acme", "subscription": "(university = Toronto)",
 	})
 	waitUntil(t, "subscription propagation to b1", func() bool {
@@ -199,7 +199,7 @@ func TestTwoBrokerObservability(t *testing.T) {
 	})
 
 	// Publish at b1: must traverse the overlay and deliver at b2.
-	out := api(b1, "/api/publish", map[string]any{"event": "(school, Toronto)"})
+	out := api(b1, "/api/v1/publish", map[string]any{"event": "(school, Toronto)"})
 	pubID, _ := out["pub_id"].(string)
 	if pubID == "" {
 		t.Fatalf("publish response missing pub_id: %v", out)
@@ -207,7 +207,7 @@ func TestTwoBrokerObservability(t *testing.T) {
 
 	// The deliver span is reported back asynchronously; poll the origin's
 	// trace endpoint until the chain closes.
-	traceURL := b1.ts.URL + "/api/trace/" + strings.ReplaceAll(pubID, "#", "%23")
+	traceURL := b1.ts.URL + "/api/v1/trace/" + strings.ReplaceAll(pubID, "#", "%23")
 	kinds := make(map[string]int)
 	waitUntil(t, "complete span chain at the origin", func() bool {
 		resp, err := http.Get(traceURL)

@@ -32,7 +32,6 @@ import (
 
 type opsLink struct {
 	Peer     string `json:"peer"`
-	Codec    int    `json:"codec"`
 	Queue    int    `json:"queue"`
 	Inflight int64  `json:"inflight"`
 	Sent     uint64 `json:"sent"`
@@ -154,11 +153,11 @@ func render(w io.Writer, url string, cv *clusterView, sv *subsView, subErr error
 		links = links[:topN]
 	}
 	if len(links) > 0 {
-		fmt.Fprintf(w, "\n%-12s %-12s %6s %6s %9s %10s %10s\n",
-			"LINK", "PEER", "CODEC", "QUEUE", "INFLIGHT", "SENT", "RECV")
+		fmt.Fprintf(w, "\n%-12s %-12s %6s %9s %10s %10s\n",
+			"LINK", "PEER", "QUEUE", "INFLIGHT", "SENT", "RECV")
 		for _, h := range links {
-			fmt.Fprintf(w, "%-12s %-12s %6d %6d %9d %10d %10d\n",
-				h.broker, h.l.Peer, h.l.Codec, h.l.Queue, h.l.Inflight, h.l.Sent, h.l.Recv)
+			fmt.Fprintf(w, "%-12s %-12s %6d %9d %10d %10d\n",
+				h.broker, h.l.Peer, h.l.Queue, h.l.Inflight, h.l.Sent, h.l.Recv)
 		}
 	}
 

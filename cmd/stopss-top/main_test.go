@@ -16,9 +16,9 @@ func testServer(t *testing.T) *httptest.Server {
 		_, _ = w.Write([]byte(`{"brokers":3,"stale":1,"cluster":[
 			{"broker":"b1","self":true,"summary":{"origin":"b1","subscriptions":4,"durable":2,
 				"published":100,"delivered":90,"journal_head":100,"goroutines":20,"heap_bytes":3145728,
-				"links":[{"peer":"b2","codec":2,"queue":3,"sent":50,"recv":40}]}},
+				"links":[{"peer":"b2","queue":3,"sent":50,"recv":40}]}},
 			{"broker":"b2","age_ms":1200,"summary":{"origin":"b2",
-				"links":[{"peer":"b1","codec":2,"queue":0,"sent":40,"recv":50}]}},
+				"links":[{"peer":"b1","queue":0,"sent":40,"recv":50}]}},
 			{"broker":"b3","age_ms":95000,"stale":true,"down":true,"summary":{"origin":"b3"}}]}`))
 	})
 	mux.HandleFunc("GET /api/v1/subs", func(w http.ResponseWriter, r *http.Request) {

@@ -306,7 +306,7 @@ type PublishResult struct {
 	// no journal is attached).
 	JournalSeq uint64
 	// PubID is the publication's federation-wide trace identity
-	// (`broker#epoch/seq`); feed it to GET /api/trace/<pubID>.
+	// (`broker#epoch/seq`); feed it to GET /api/v1/trace/<pubID>.
 	PubID string
 }
 

@@ -9,15 +9,15 @@ import (
 // Binary wire codecs for the message types, used by the overlay's
 // compact framing (internal/overlay). They exist BESIDE the JSON
 // codecs in json.go: JSON remains the interoperable, self-describing
-// form (web API, notification transports, old overlay peers); the
+// form (web API, notification transports, snapshots, journal); the
 // binary form is the hot-path encoding — varint lengths, one kind byte
 // per value, and optional string interning so attribute names and
 // recurring terms cost one or two bytes after first use.
 //
 // The two codecs are round-trip equivalent: decode(binary(encode(x)))
 // and decode(json(encode(x))) produce identical values for every x
-// either accepts (FuzzFrame in internal/overlay pins this cross-codec
-// identity).
+// either accepts (TestBinaryEventSubscriptionRoundTrip compares through
+// the JSON form).
 
 // internMax bounds an interning table: entries past the cap travel as
 // literals forever. 4096 ids × short strings keeps a long-lived link's
@@ -165,8 +165,8 @@ func (w *BWriter) Predicate(p Predicate) {
 // Subscription appends id, subscriber and the predicate conjunction.
 // The predicate count is shifted by one so a nil slice (0) stays
 // distinguishable from an empty one (1): the JSON codec renders them
-// differently ("preds":null vs "preds":[]), and the cross-codec
-// round-trip guarantee requires the binary form not to collapse them.
+// differently ("preds":null vs "preds":[]), and the round-trip
+// equivalence above requires the binary form not to collapse them.
 func (w *BWriter) Subscription(s Subscription) {
 	w.Uvarint(uint64(s.ID))
 	w.String(s.Subscriber)

@@ -40,7 +40,7 @@ type Notification struct {
 	// PubID is the publication's federation-wide trace identity
 	// (internal/trace, `broker#epoch/seq`). The broker's delivery hook
 	// closes the publication's span chain with it; subscribers can use
-	// it to correlate a notification with `GET /api/trace/<pubID>`.
+	// it to correlate a notification with `GET /api/v1/trace/<pubID>`.
 	PubID string `json:"pub_id,omitempty"`
 }
 

@@ -42,14 +42,6 @@ var (
 	errLinkSlow   = errors.New("overlay: peer too slow, link dropped")
 )
 
-// Errors from the hello exchange, distinguishable by the caller: a
-// timeout means a silent or stalled peer (worth re-dialing), a
-// malformed hello means the remote speaks something else entirely.
-var (
-	errHelloTimeout   = errors.New("overlay: hello handshake timed out")
-	errHelloMalformed = errors.New("overlay: malformed hello")
-)
-
 // outqCap bounds the per-link outbound queue. A full queue means the
 // peer is not draining its socket; the link is sacrificed rather than
 // letting backpressure propagate into the routing lock (which could
@@ -68,13 +60,8 @@ type link struct {
 
 	peer string // peer node name, fixed by the hello exchange
 
-	// codec is the negotiated wire-codec version: min(local max, peer
-	// max) from the hello exchange. codecJSON framing is the fallback
-	// that keeps mixed-version clusters interoperable.
-	codec int
-
-	// Encode scratch (writer goroutine only): binary frames are encoded
-	// here first — so an oversized or unencodable frame is detected
+	// Encode scratch (writer goroutine only): frames are encoded here
+	// first — so an oversized or unencodable frame is detected
 	// before any byte reaches the connection and can be dropped without
 	// desyncing the stream — then copied into bw. The buffer and the
 	// interning dictionary persist for the link's lifetime, so steady
@@ -131,17 +118,16 @@ type link struct {
 const handshakeTimeout = 5 * time.Second
 
 // newLink wraps an accepted or dialed connection and performs the hello
-// exchange: each side sends its node name plus its maximum supported
-// wire-codec version and reads the peer's; both then derive the same
-// negotiated codec. The hello itself always travels in the legacy JSON
-// framing — it is the only frame a version-0 peer is guaranteed to
-// parse. The writer goroutine is not yet running; the handshake writes
+// exchange: each side writes its preamble (wire.go) and reads the
+// peer's. The writer goroutine is not yet running; the handshake writes
 // directly.
-func newLink(conn Conn, localName string, maxCodec int) (*link, error) {
+func newLink(conn Conn, localName string) (*link, error) {
 	l := &link{
 		conn:      conn,
 		bw:        bufio.NewWriter(conn),
 		br:        bufio.NewReader(conn),
+		enc:       message.BWriter{Dict: message.NewIntern()},
+		rdict:     message.NewIntern(),
 		outq:      make(chan outFrame, outqCap),
 		done:      make(chan struct{}),
 		interests: make(map[routeID]routeEntry),
@@ -153,35 +139,24 @@ func newLink(conn Conn, localName string, maxCodec int) (*link, error) {
 		return nil, err
 	}
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	if err := writeFrame(l.bw, Frame{Type: frameHello, Name: localName, Codec: maxCodec}); err != nil {
+	if _, err := conn.Write(helloPreamble(localName)); err != nil {
 		return fail(fmt.Errorf("overlay: hello to %s: %w", conn.RemoteAddr(), err))
 	}
-	if err := l.bw.Flush(); err != nil {
-		return fail(fmt.Errorf("overlay: hello to %s: %w", conn.RemoteAddr(), err))
-	}
-	f, err := readFrame(l.br, &l.rbuf)
-	switch {
-	case err != nil && isTimeout(err):
-		return fail(fmt.Errorf("overlay: awaiting hello from %s: %w", conn.RemoteAddr(), errHelloTimeout))
-	case err != nil:
-		return fail(fmt.Errorf("overlay: awaiting hello from %s: %w (%v)", conn.RemoteAddr(), errHelloMalformed, err))
-	case f.Type != frameHello || f.Name == "":
-		return fail(fmt.Errorf("overlay: from %s got %q frame: %w", conn.RemoteAddr(), f.Type, errHelloMalformed))
-	case f.Name == localName:
-		return fail(fmt.Errorf("overlay: peer %s has this node's own name %q", conn.RemoteAddr(), f.Name))
-	}
-	l.peer = f.Name
-	l.codec = min(maxCodec, f.Codec)
-	if l.codec < codecJSON {
-		l.codec = codecJSON // a negative advertisement is meaningless
-	}
-	if l.codec >= codecBinary {
-		if l.codec > codecOps {
-			l.codec = codecOps // cap at the highest version we implement
+	peer, err := readHello(l.br)
+	if err != nil {
+		switch {
+		case isTimeout(err):
+			err = errHelloTimeout
+		case !errors.Is(err, errHelloVersion) && !errors.Is(err, errHelloMalformed):
+			// A hang-up or reset mid-hello: not a peer speaking this protocol.
+			err = fmt.Errorf("%w (%v)", errHelloMalformed, err)
 		}
-		l.enc.Dict = message.NewIntern()
-		l.rdict = message.NewIntern()
+		return fail(fmt.Errorf("overlay: awaiting hello from %s: %w", conn.RemoteAddr(), err))
 	}
+	if peer == localName {
+		return fail(fmt.Errorf("overlay: peer %s has this node's own name %q", conn.RemoteAddr(), peer))
+	}
+	l.peer = peer
 	conn.SetDeadline(time.Time{})
 	return l, nil
 }
@@ -196,24 +171,11 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// readFrame decodes the next inbound frame under the link's negotiated
-// codec, reusing the link's body buffer. Read-loop goroutine only.
-func (l *link) readFrame() (Frame, error) {
-	if l.codec >= codecBinary {
-		return readFrameBinary(l.br, &l.rbuf, l.rdict)
-	}
-	return readFrame(l.br, &l.rbuf)
-}
-
 // writeFrame encodes one outbound frame into the link's buffered
-// writer under the negotiated codec. Droppable failures (see
-// droppableWriteError) are reported before any byte reaches the
-// stream; for the binary codec the interning dictionary is rolled back
-// too, so the peer's table stays in sync. Writer goroutine only.
+// writer. Droppable failures (see droppableWriteError) are reported
+// before any byte reaches the stream, and the interning dictionary is
+// rolled back so the peer's table stays in sync. Writer goroutine only.
 func (l *link) writeFrame(f Frame) error {
-	if l.codec < codecBinary {
-		return writeFrame(l.bw, f)
-	}
 	mark := l.enc.Dict.Mark()
 	l.enc.Reset()
 	if err := appendFrameBinary(&l.enc, f); err != nil {

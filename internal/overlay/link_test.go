@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -17,29 +19,6 @@ import (
 	"stopss/internal/notify"
 )
 
-// newCodecBroker is newTestBroker with the wire codec pinned.
-func newCodecBroker(t *testing.T, name string, disableBinary bool) *testBroker {
-	t.Helper()
-	ch := make(chan notify.Notification, 256)
-	nt, err := notify.NewEngine(notify.Config{Workers: 2}, &chanTransport{ch: ch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := broker.New(core.NewEngine(nil), nt)
-	node, err := NewNode(Config{Name: name, Listen: "127.0.0.1:0", DisableBinary: disableBinary}, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := node.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		node.Close()
-		nt.Close()
-	})
-	return &testBroker{b: b, node: node, nt: nt, ch: ch}
-}
-
 // TestOversizedFrameDropsFrameNotLink is the regression test for the
 // link-teardown bug: a single publication whose encoded frame exceeds
 // maxFrameSize used to error inside link.writer, which closed the whole
@@ -47,57 +26,47 @@ func newCodecBroker(t *testing.T, name string, disableBinary bool) *testBroker {
 // forever. The writer must instead drop that one frame (counted in
 // overlay.frames_oversized) and keep the link carrying everything else.
 func TestOversizedFrameDropsFrameNotLink(t *testing.T) {
-	for _, tc := range []struct {
-		name          string
-		disableBinary bool
-	}{
-		{"binary", false},
-		{"json", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			a := newCodecBroker(t, "A", tc.disableBinary)
-			b := newCodecBroker(t, "B", tc.disableBinary)
-			if err := b.node.Dial(a.node.Addr()); err != nil {
-				t.Fatal(err)
-			}
-			waitFor(t, "link up", func() bool { return len(a.node.Peers()) == 1 })
-
-			b.subscribe(t, "bob", message.Pred("x", message.OpGe, message.Int(0)))
-			waitFor(t, "subscription at A", func() bool {
-				return a.b.Stats().Remote.RemoteSubs == 1
-			})
-
-			if _, err := a.b.Publish(message.E("x", 1)); err != nil {
-				t.Fatal(err)
-			}
-			expectNotification(t, b.ch, "bob")
-
-			// The oversized publication matches bob too, so A routes it
-			// at the link — where encoding must drop it.
-			big := message.E("x", 2, "payload", message.String(strings.Repeat("p", maxFrameSize)))
-			if _, err := a.b.Publish(big); err != nil {
-				t.Fatal(err)
-			}
-			oversized := a.node.Registry().Counter("overlay.frames_oversized")
-			waitFor(t, "oversized frame counted", func() bool { return oversized.Value() == 1 })
-			expectSilence(t, b.ch)
-
-			// The link survived: still peered, and the next publication
-			// flows through it.
-			if got := len(a.node.Peers()); got != 1 {
-				t.Fatalf("oversized frame tore down the link: %d peers", got)
-			}
-			if _, err := a.b.Publish(message.E("x", 3)); err != nil {
-				t.Fatal(err)
-			}
-			n := expectNotification(t, b.ch, "bob")
-			if v, _ := n.Event.Get("x"); v.IntVal() != 3 {
-				t.Fatalf("follow-up event corrupted: %v", n.Event)
-			}
-			// And the drop did not strand quiescence accounting.
-			waitFor(t, "inflight settled", func() bool { return a.node.Pending() == 0 })
-		})
+	a := newTestBroker(t, "A", false)
+	b := newTestBroker(t, "B", false)
+	if err := b.node.Dial(a.node.Addr()); err != nil {
+		t.Fatal(err)
 	}
+	waitFor(t, "link up", func() bool { return len(a.node.Peers()) == 1 })
+
+	b.subscribe(t, "bob", message.Pred("x", message.OpGe, message.Int(0)))
+	waitFor(t, "subscription at A", func() bool {
+		return a.b.Stats().Remote.RemoteSubs == 1
+	})
+
+	if _, err := a.b.Publish(message.E("x", 1)); err != nil {
+		t.Fatal(err)
+	}
+	expectNotification(t, b.ch, "bob")
+
+	// The oversized publication matches bob too, so A routes it at the
+	// link — where encoding must drop it.
+	big := message.E("x", 2, "payload", message.String(strings.Repeat("p", maxFrameSize)))
+	if _, err := a.b.Publish(big); err != nil {
+		t.Fatal(err)
+	}
+	oversized := a.node.Registry().Counter("overlay.frames_oversized")
+	waitFor(t, "oversized frame counted", func() bool { return oversized.Value() == 1 })
+	expectSilence(t, b.ch)
+
+	// The link survived: still peered, and the next publication flows
+	// through it.
+	if got := len(a.node.Peers()); got != 1 {
+		t.Fatalf("oversized frame tore down the link: %d peers", got)
+	}
+	if _, err := a.b.Publish(message.E("x", 3)); err != nil {
+		t.Fatal(err)
+	}
+	n := expectNotification(t, b.ch, "bob")
+	if v, _ := n.Event.Get("x"); v.IntVal() != 3 {
+		t.Fatalf("follow-up event corrupted: %v", n.Event)
+	}
+	// And the drop did not strand quiescence accounting.
+	waitFor(t, "inflight settled", func() bool { return a.node.Pending() == 0 })
 }
 
 // pipeConn adapts one end of net.Pipe to the overlay Conn interface.
@@ -115,145 +84,158 @@ func (timeoutConn) Close() error                { return nil }
 func (timeoutConn) SetDeadline(time.Time) error { return nil }
 func (timeoutConn) RemoteAddr() string          { return "stub" }
 
+// helloSentinels are the mutually exclusive classes a failed hello
+// exchange reports.
+var helloSentinels = []error{errHelloTimeout, errHelloMalformed, errHelloVersion}
+
 // TestNewLinkHelloErrors pins the error taxonomy of the hello exchange:
-// a silent peer surfaces as errHelloTimeout, garbage or a non-hello
-// frame as errHelloMalformed — previously both collapsed into one
-// indistinguishable wrapped error on the caller's log line.
+// a silent peer surfaces as errHelloTimeout, anything that is not a
+// hello preamble (garbage, the retired JSON hello, a hang-up) as
+// errHelloMalformed, a broker of another protocol version as
+// errHelloVersion — each exactly one class, so the caller's log line
+// says which.
 func TestNewLinkHelloErrors(t *testing.T) {
-	t.Run("silent peer times out", func(t *testing.T) {
-		_, err := newLink(timeoutConn{}, "local", codecBinary)
-		if !errors.Is(err, errHelloTimeout) {
-			t.Fatalf("got %v, want errHelloTimeout", err)
-		}
-		if errors.Is(err, errHelloMalformed) {
-			t.Fatal("timeout must not also classify as malformed")
-		}
-	})
-
-	// peerScript runs f against the far end of a pipe while newLink
-	// handshakes on the near end.
-	peerScript := func(t *testing.T, f func(c net.Conn)) error {
+	classify := func(t *testing.T, err error, want error) {
 		t.Helper()
-		near, far := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			f(far)
-			far.Close()
-		}()
-		_, err := newLink(pipeConn{near}, "local", codecBinary)
-		<-done
-		return err
-	}
-	drainHello := func(c net.Conn) {
-		buf := make([]byte, 4096)
-		c.Read(buf)
+		for _, s := range helloSentinels {
+			if errors.Is(err, s) != (s == want) {
+				t.Fatalf("got %v, want exactly %v", err, want)
+			}
+		}
 	}
 
-	t.Run("garbage bytes are malformed", func(t *testing.T) {
-		err := peerScript(t, func(c net.Conn) {
-			drainHello(c)
-			c.Write([]byte{0, 0, 0, 2, '{', ']'})
-		})
-		if !errors.Is(err, errHelloMalformed) {
-			t.Fatalf("got %v, want errHelloMalformed", err)
-		}
-		if errors.Is(err, errHelloTimeout) {
-			t.Fatal("malformed hello must not classify as timeout")
-		}
+	t.Run("silent peer", func(t *testing.T) {
+		_, err := newLink(timeoutConn{}, "local")
+		classify(t, err, errHelloTimeout)
 	})
 
-	t.Run("non-hello frame is malformed", func(t *testing.T) {
-		err := peerScript(t, func(c net.Conn) {
-			drainHello(c)
-			writeFrame(c, Frame{Type: frameSub, Origin: "x"})
+	// The far end of a pipe drains our hello and answers with the
+	// scripted bytes while newLink handshakes on the near end.
+	for _, tc := range []struct {
+		name   string
+		answer []byte
+		want   error // nil: refused, but by none of the sentinels
+	}{
+		{"garbage bytes", []byte{0, 0, 0, 2, '{', ']'}, errHelloMalformed},
+		{"legacy JSON hello", legacyJSONHello(), errHelloMalformed},
+		{"hang-up mid-hello", helloPreamble("peer")[:5], errHelloMalformed},
+		{"older version", helloWithVersion(protocolVersion - 1), errHelloVersion},
+		{"newer version", helloWithVersion(protocolVersion + 1), errHelloVersion},
+		{"own name", helloPreamble("local"), nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			near, far := net.Pipe()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				far.Read(make([]byte, 4096))
+				far.Write(tc.answer)
+				far.Close()
+			}()
+			_, err := newLink(pipeConn{near}, "local")
+			<-done
+			if err == nil {
+				t.Fatal("hello accepted")
+			}
+			classify(t, err, tc.want)
+			if tc.want == nil && !strings.Contains(err.Error(), "own name") {
+				t.Fatalf("got %v, want own-name rejection", err)
+			}
 		})
-		if !errors.Is(err, errHelloMalformed) {
-			t.Fatalf("got %v, want errHelloMalformed", err)
-		}
-	})
-
-	t.Run("own name is rejected", func(t *testing.T) {
-		err := peerScript(t, func(c net.Conn) {
-			drainHello(c)
-			writeFrame(c, Frame{Type: frameHello, Name: "local"})
-		})
-		if err == nil || !strings.Contains(err.Error(), "own name") {
-			t.Fatalf("got %v, want own-name rejection", err)
-		}
-	})
+	}
 }
 
-// TestNewLinkCodecNegotiation checks both ends derive the same codec
-// from the hello exchange: min of the two advertised versions, clamped
-// to what this build implements.
-func TestNewLinkCodecNegotiation(t *testing.T) {
-	cases := []struct {
-		a, b, want int
+// TestRefusedHelloLeavesNoLink drives the refusals through a real node
+// over TCP, on both ends: a foreign peer dialing in, and the node
+// dialing out to one. Either way the refusal is prompt, carries its
+// sentinel, and leaves no link, goroutine or Pending count behind; the
+// accepting side's log names the version the peer announced.
+func TestRefusedHelloLeavesNoLink(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		hello  []byte
+		want   error
+		logged string
 	}{
-		{codecBinary, codecBinary, codecBinary},
-		{codecBinary, codecJSON, codecJSON},
-		{codecJSON, codecBinary, codecJSON},
-		{codecJSON, codecJSON, codecJSON},
-		{codecOps, codecOps, codecOps},
-		{codecOps, codecBinary, codecBinary}, // v2 against a v1 peer: v1 framing
-		{99, codecOps, codecOps},             // future peer: capped at ours
-		{codecBinary, -3, codecJSON},         // nonsense advertisement
-	}
-	// TCP loopback rather than net.Pipe: both ends of the handshake
-	// write their hello before reading, which deadlocks on an unbuffered
-	// pipe but not on a kernel-buffered socket.
-	connPair := func(t *testing.T) (Conn, Conn) {
-		t.Helper()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		type res struct {
-			c   net.Conn
-			err error
-		}
-		ch := make(chan res, 1)
-		go func() {
-			c, err := ln.Accept()
-			ch <- res{c, err}
-		}()
-		dialed, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		accepted := <-ch
-		if accepted.err != nil {
-			t.Fatal(accepted.err)
-		}
-		return tcpConn{dialed}, tcpConn{accepted.c}
-	}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%d-%d", tc.a, tc.b), func(t *testing.T) {
-			near, far := connPair(t)
-			type res struct {
-				l   *link
-				err error
+		{"version mismatch", helloWithVersion(protocolVersion + 1), errHelloVersion,
+			fmt.Sprintf("peer speaks version %d", protocolVersion+1)},
+		{"legacy JSON hello", legacyJSONHello(), errHelloMalformed, "malformed hello"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var logMu sync.Mutex
+			var logs []string
+			nt, err := notify.NewEngine(notify.Config{Workers: 1}, &chanTransport{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			ch := make(chan res, 1)
+			defer nt.Close()
+			node, err := NewNode(Config{Name: "A", Listen: "127.0.0.1:0", Logf: func(format string, args ...any) {
+				logMu.Lock()
+				logs = append(logs, fmt.Sprintf(format, args...))
+				logMu.Unlock()
+			}}, broker.New(core.NewEngine(nil), nt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := node.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer node.Close()
+			goroutines := runtime.NumGoroutine()
+			start := time.Now()
+
+			// Accepting end: the foreign peer dials in, says its hello and
+			// reads until the node hangs up on it.
+			c, err := net.Dial("tcp", node.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Write(tc.hello)
+			io.Copy(io.Discard, c)
+			c.Close()
+			waitFor(t, "refusal logged", func() bool {
+				logMu.Lock()
+				defer logMu.Unlock()
+				for _, line := range logs {
+					if strings.Contains(line, tc.logged) {
+						return true
+					}
+				}
+				return false
+			})
+
+			// Dialing end: the node dials the foreign peer.
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			served := make(chan struct{})
 			go func() {
-				l, err := newLink(far, "peer-b", tc.b)
-				ch <- res{l, err}
+				defer close(served)
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				c.Write(tc.hello)
+				io.Copy(io.Discard, c)
+				c.Close()
 			}()
-			la, errA := newLink(near, "peer-a", tc.a)
-			rb := <-ch
-			if errA != nil || rb.err != nil {
-				t.Fatalf("handshake failed: %v / %v", errA, rb.err)
+			if err := node.Dial(ln.Addr().String()); !errors.Is(err, tc.want) {
+				t.Fatalf("dialing a refused peer: got %v, want %v", err, tc.want)
 			}
-			defer la.close()
-			defer rb.l.close()
-			if la.codec != tc.want || rb.l.codec != tc.want {
-				t.Fatalf("negotiated %d/%d, want %d on both ends", la.codec, rb.l.codec, tc.want)
+			<-served
+
+			if elapsed := time.Since(start); elapsed >= handshakeTimeout {
+				t.Fatalf("refusals took %v, want well under the %v handshake timeout", elapsed, handshakeTimeout)
 			}
-			if (la.codec >= codecBinary) != (la.rdict != nil) {
-				t.Fatal("dictionary allocation must track the negotiated codec")
+			if peers := node.Peers(); len(peers) != 0 {
+				t.Fatalf("refused peer registered as a link: %v", peers)
 			}
+			if p := node.Pending(); p != 0 {
+				t.Fatalf("Pending() = %d after refusals, want 0", p)
+			}
+			waitFor(t, "handshake goroutines gone", func() bool { return runtime.NumGoroutine() <= goroutines })
 		})
 	}
 }
@@ -287,6 +269,7 @@ func (c *failConn) RemoteAddr() string          { return "failconn" }
 func TestWriterErrorSettlesBatchInflight(t *testing.T) {
 	l := &link{
 		conn: &failConn{},
+		enc:  message.BWriter{Dict: message.NewIntern()},
 		outq: make(chan outFrame, outqCap),
 		done: make(chan struct{}),
 	}

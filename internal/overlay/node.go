@@ -35,12 +35,6 @@ type Config struct {
 	// overlaps the subscription. Sound only when every publisher in the
 	// overlay advertises.
 	Quench bool
-	// DisableBinary forces the legacy JSON wire codec on every link by
-	// advertising codec version 0 at hello. Negotiation then selects
-	// JSON regardless of what the peer supports — a compatibility and
-	// debugging knob (JSON frames are greppable on the wire), also used
-	// by the mixed-version interop tests.
-	DisableBinary bool
 	// Registry receives the overlay counters; nil allocates a private
 	// one (see Node.Registry).
 	Registry *metrics.Registry
@@ -119,6 +113,9 @@ const seenCap = 8192
 func NewNode(cfg Config, b *broker.Broker) (*Node, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("overlay: node needs a name")
+	}
+	if len(cfg.Name) > maxNodeName {
+		return nil, fmt.Errorf("overlay: node name of %d bytes exceeds %d", len(cfg.Name), maxNodeName)
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -253,11 +250,7 @@ func (n *Node) acceptLoop(ln Listener) {
 // attach performs the hello exchange, registers the link, synchronizes
 // the node's current routing state onto it, and starts its read loop.
 func (n *Node) attach(conn Conn) error {
-	maxCodec := codecOps
-	if n.cfg.DisableBinary {
-		maxCodec = codecJSON
-	}
-	l, err := newLink(conn, n.cfg.Name, maxCodec)
+	l, err := newLink(conn, n.cfg.Name)
 	if err != nil {
 		return err
 	}
@@ -280,7 +273,6 @@ func (n *Node) attach(conn Conn) error {
 	l.qwait = n.reg.Histogram("overlay.link." + l.peer + ".queue_wait")
 	l.oversized = n.framesOversized
 	l.logf = n.cfg.Logf
-	n.reg.Gauge("overlay.link." + l.peer + ".codec").Set(int64(l.codec))
 	n.links = append(n.links, l)
 	n.wg.Add(1)
 	go l.writer(&n.wg)
@@ -352,7 +344,7 @@ func (n *Node) syncLink(l *link) {
 func (n *Node) readLoop(l *link) {
 	defer n.wg.Done()
 	for {
-		f, err := l.readFrame()
+		f, err := readFrameBinary(l.br, &l.rbuf, l.rdict)
 		if err != nil {
 			n.detach(l)
 			return

@@ -33,7 +33,6 @@ import (
 // OpsLink is one peer link's health as seen by the reporting broker.
 type OpsLink struct {
 	Peer     string `json:"peer"`
-	Codec    int    `json:"codec"`
 	Queue    int    `json:"queue"`    // frames waiting in the outbound queue
 	Inflight int64  `json:"inflight"` // queued + writer-batched frames
 	Sent     uint64 `json:"sent"`
@@ -164,7 +163,6 @@ func (n *Node) buildOps() OpsSummary {
 	for _, l := range n.links {
 		s.Links = append(s.Links, OpsLink{
 			Peer:     l.peer,
-			Codec:    l.codec,
 			Queue:    len(l.outq),
 			Inflight: l.inflight.Load(),
 			Sent:     l.sent.Value(),
@@ -213,15 +211,8 @@ func (n *Node) storeOps(s OpsSummary, hops []string) bool {
 	return true
 }
 
-// sendOps transmits one summary on a link when the negotiated codec
-// can carry it: v2 binary links encode it natively; JSON links carry
-// it as an ordinary frame that pre-ops peers ignore as an unknown
-// type. v1 binary links are skipped — their decoder treats an unknown
-// frame code as stream corruption and would tear the link down.
+// sendOps transmits one summary on a link. Callers hold n.mu.
 func (n *Node) sendOps(l *link, s OpsSummary, hops []string) {
-	if l.codec == codecBinary {
-		return
-	}
 	ss := s
 	if l.send(Frame{Type: frameOps, Origin: s.Origin, Ops: &ss, Hops: hops}) == nil {
 		n.opsForwarded.Inc()

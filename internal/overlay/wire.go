@@ -1,9 +1,9 @@
 // Package overlay federates S-ToPSS brokers into a multi-node
 // publish/subscribe network: peer brokers connect over TCP and exchange
 // length-prefixed frames that propagate subscriptions (with
-// covering-based pruning), advertisements, and publications. Frames are
-// binary with per-link interned dictionaries between up-to-date peers
-// and fall back to JSON framing for old ones (wire_binary.go).
+// covering-based pruning), advertisements, and publications. There is
+// one wire format: a fixed hello preamble, then binary frames with
+// per-link interned dictionaries (wire_binary.go).
 //
 // Routing model (the classic content-based federation scheme the
 // Toronto group's later systems use):
@@ -41,7 +41,6 @@ package overlay
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -51,50 +50,59 @@ import (
 	"stopss/internal/trace"
 )
 
-// Frame types.
+// FrameType identifies a frame kind; its value is the type byte on the
+// wire (never 0, so a zeroed byte is malformed).
+type FrameType byte
+
 const (
-	frameHello = "hello" // first frame on a link, carries the node name
-	frameSub   = "sub"   // subscription propagation
-	frameUnsub = "unsub" // subscription withdrawal
-	frameAdv   = "adv"   // advertisement propagation
-	frameUnadv = "unadv" // advertisement withdrawal
-	framePub   = "pub"   // publication forwarding
-	frameKB    = "kb"    // knowledge-delta replication
-	frameTrace = "trace" // trace report travelling BACK toward a pub's origin
-	frameOps   = "ops"   // broker health summary gossip (cluster introspection)
+	frameSub   FrameType = iota + 1 // subscription propagation
+	frameUnsub                      // subscription withdrawal
+	frameAdv                        // advertisement propagation
+	frameUnadv                      // advertisement withdrawal
+	framePub                        // publication forwarding
+	frameKB                         // knowledge-delta replication
+	frameTrace                      // trace report travelling BACK toward a pub's origin
+	frameOps                        // broker health summary gossip (cluster introspection)
 )
 
-// Frame is one overlay protocol message. Payload fields are pointers or
-// omit-empty so each frame type serializes only what it carries; the
-// message-layer JSON codecs (internal/message/json.go) are reused for
-// subscriptions, predicates and events.
+// frameNames maps every assigned frame type to its name in logs.
+var frameNames = [...]string{
+	frameSub: "sub", frameUnsub: "unsub", frameAdv: "adv", frameUnadv: "unadv",
+	framePub: "pub", frameKB: "kb", frameTrace: "trace", frameOps: "ops",
+}
+
+// valid reports whether t is an assigned frame type.
+func (t FrameType) valid() bool { return int(t) < len(frameNames) && frameNames[t] != "" }
+
+func (t FrameType) String() string {
+	if t.valid() {
+		return frameNames[t]
+	}
+	return fmt.Sprintf("frame(%d)", byte(t))
+}
+
+// Frame is one overlay protocol message. Each frame type sets only the
+// payload fields it carries; zero-valued fields are absent on the wire
+// (wire_binary.go).
 type Frame struct {
-	Type string `json:"type"`
+	Type FrameType
 	// Origin names the broker where the carried state was created;
 	// together with Sub.ID (or Client for advertisements) it forms the
 	// overlay-wide identity of the routed entry.
-	Origin string `json:"origin,omitempty"`
+	Origin string
 	// Hops lists brokers the frame has visited, in order. A node never
 	// forwards a frame to a peer already in Hops and drops frames that
 	// have looped back to itself.
-	Hops []string `json:"hops,omitempty"`
+	Hops []string
 
-	Name string `json:"name,omitempty"` // hello: node name
+	Sub   *message.Subscription // sub
+	SubID message.SubID         // unsub
 
-	// Codec is the sender's maximum supported wire-codec version
-	// (hello only). Both sides use min(local, peer) for every frame
-	// after the hello; peers predating the field leave it 0, selecting
-	// the legacy JSON framing (see wire_binary.go).
-	Codec int `json:"codec,omitempty"`
+	Client string              // adv/unadv: publisher
+	Preds  []message.Predicate // adv
 
-	Sub   *message.Subscription `json:"sub,omitempty"`    // sub
-	SubID message.SubID         `json:"sub_id,omitempty"` // unsub
-
-	Client string              `json:"client,omitempty"` // adv/unadv: publisher
-	Preds  []message.Predicate `json:"preds,omitempty"`  // adv
-
-	Event *message.Event `json:"event,omitempty"`  // pub
-	PubID string         `json:"pub_id,omitempty"` // pub/trace: origin-scoped identity
+	Event *message.Event // pub
+	PubID string         // pub/trace: origin-scoped identity
 
 	// Trace carries per-publication span records (DESIGN §10). On pub
 	// frames it holds the spans accumulated by every broker already
@@ -102,29 +110,85 @@ type Frame struct {
 	// once at the origin. On trace frames it carries a broker's full
 	// current span set for the publication back along the reverse
 	// forwarding path, so terminal delivery outcomes reach the origin.
-	Trace []trace.Span `json:"trace,omitempty"`
+	Trace []trace.Span
 
 	// KB carries one knowledge delta (kb frames). The delta's own
 	// origin#epoch/seq identity is the dedup key, reusing the
 	// publication suppression machinery with a "kb|" prefix.
-	KB *knowledge.Delta `json:"kb,omitempty"`
+	KB *knowledge.Delta
 
 	// Ops carries one broker health summary (ops frames, DESIGN §10):
 	// low-rate cluster-introspection gossip flooded with the same
 	// hop-list/dedup machinery as publications, keyed "ops|" +
-	// origin#epoch/seq. Requires wire codec ≥ 2 on binary links; on
-	// JSON links old peers simply ignore the unknown frame type.
-	Ops *OpsSummary `json:"ops,omitempty"`
+	// origin#epoch/seq.
+	Ops *OpsSummary
+}
+
+// The hello preamble is the first thing each side writes on a new
+// connection, before any frame:
+//
+//	magic "STPS" · protocol version byte · name length byte · node name
+//
+// There is one protocol version and no negotiation: a peer announcing
+// any other version, or not starting with the magic at all, is refused
+// (errHelloVersion, errHelloMalformed). The name length is a single
+// byte, so reading a hello commits at most maxNodeName bytes whatever
+// an unvetted peer sends.
+const (
+	helloMagic      = "STPS"
+	protocolVersion = 1
+	maxNodeName     = 255
+)
+
+// Errors from the hello exchange, distinguishable by the caller: a
+// timeout means a silent or stalled peer (worth re-dialing), a
+// malformed hello means the remote speaks something else entirely, a
+// version mismatch means it is an S-ToPSS broker of another release.
+var (
+	errHelloTimeout   = errors.New("overlay: hello handshake timed out")
+	errHelloMalformed = errors.New("overlay: malformed hello")
+	errHelloVersion   = errors.New("overlay: protocol version mismatch")
+)
+
+// helloPreamble encodes the hello for a node name already checked
+// against maxNodeName (NewNode).
+func helloPreamble(name string) []byte {
+	b := append([]byte(helloMagic), protocolVersion, byte(len(name)))
+	return append(b, name...)
+}
+
+// readHello reads the peer's hello preamble and returns its node name.
+// Content errors wrap errHelloMalformed or errHelloVersion; read errors
+// are returned as they come.
+func readHello(r io.Reader) (string, error) {
+	var hdr [len(helloMagic) + 2]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return "", err
+	}
+	if string(hdr[:len(helloMagic)]) != helloMagic {
+		return "", fmt.Errorf("%w: bad magic %q", errHelloMalformed, hdr[:len(helloMagic)])
+	}
+	if v := hdr[len(helloMagic)]; v != protocolVersion {
+		return "", fmt.Errorf("%w: peer speaks version %d, this node %d", errHelloVersion, v, protocolVersion)
+	}
+	n := hdr[len(helloMagic)+1]
+	if n == 0 {
+		return "", fmt.Errorf("%w: empty node name", errHelloMalformed)
+	}
+	name := make([]byte, n)
+	if _, err := io.ReadFull(r, name); err != nil {
+		return "", err
+	}
+	return string(name), nil
 }
 
 // maxFrameSize bounds one frame on the wire; a subscription or expanded
 // event is a few hundred bytes, so 1 MiB is generous headroom.
 const maxFrameSize = 1 << 20
 
-// frameAllocChunk caps the buffer readFrame allocates up front. The
-// length prefix is attacker-controlled until the hello exchange has
-// vetted the peer, so memory beyond this chunk is committed only as
-// body bytes actually arrive.
+// frameAllocChunk caps the buffer readBody allocates up front. The
+// length prefix is whatever the peer sent, so memory beyond this chunk
+// is committed only as body bytes actually arrive.
 const frameAllocChunk = 64 << 10
 
 // errFrameTooLarge reports a length prefix outside (0, maxFrameSize].
@@ -139,69 +203,20 @@ var errFrameTooLarge = fmt.Errorf("overlay: frame length out of range (max %d)",
 // unshippable.
 var errFrameEncode = fmt.Errorf("overlay: frame encoding failed")
 
-// droppableWriteError reports whether a writeFrame/appendFrameBinary
-// error cost the link nothing on the wire, so the frame can be dropped
-// and the link kept.
+// droppableWriteError reports whether a link.writeFrame error cost the
+// link nothing on the wire, so the frame can be dropped and the link
+// kept.
 func droppableWriteError(err error) bool {
 	return errors.Is(err, errFrameTooLarge) || errors.Is(err, errFrameEncode)
 }
 
-// writeFrame encodes f as a 4-byte big-endian length prefix followed by
-// the JSON body (wire codec version 0). The caller serializes
-// concurrent writers. The body is marshaled and size-checked before any
-// byte reaches w, so a failure leaves the stream intact (see
-// droppableWriteError).
-func writeFrame(w io.Writer, f Frame) error {
-	body, err := json.Marshal(f)
-	if err != nil {
-		return fmt.Errorf("%w: %s frame: %v", errFrameEncode, f.Type, err)
-	}
-	if len(body) > maxFrameSize {
-		return fmt.Errorf("overlay: %s frame of %d bytes: %w", f.Type, len(body), errFrameTooLarge)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
-}
-
-// readFrame decodes one JSON-framed (codec version 0) frame. A
-// malformed length prefix can neither allocate unbounded memory
-// (lengths above maxFrameSize are rejected before any body allocation)
-// nor force a large allocation backed by no data (the body buffer grows
-// incrementally as bytes arrive, starting at frameAllocChunk). bufp, if
-// non-nil, is the caller's reusable body buffer: its capacity is kept
-// across frames, so a steady-state link reads without allocating.
-func readFrame(r *bufio.Reader, bufp *[]byte) (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrameSize {
-		return Frame{}, fmt.Errorf("overlay: frame length %d: %w", n, errFrameTooLarge)
-	}
-	body, err := readBody(r, bufp, int(n))
-	if err != nil {
-		return Frame{}, err
-	}
-	var f Frame
-	if err := json.Unmarshal(body, &f); err != nil {
-		return Frame{}, fmt.Errorf("overlay: decoding frame: %w", err)
-	}
-	if f.Type == "" {
-		return Frame{}, fmt.Errorf("overlay: frame missing type")
-	}
-	return f, nil
-}
-
-// readFrameBinary decodes one binary-framed (codec version 1) frame:
-// uvarint body length, then the body (wire_binary.go). The same
-// incremental-allocation hardening as readFrame applies, although
-// binary frames only ever arrive after the hello has vetted the peer.
+// readFrameBinary decodes one frame: uvarint body length, then the body
+// (wire_binary.go). A malformed length prefix can neither allocate
+// unbounded memory (lengths above maxFrameSize are rejected before any
+// body allocation) nor force a large allocation backed by no data (see
+// readBody). bufp, if non-nil, is the caller's reusable body buffer: its
+// capacity is kept across frames, so a steady-state link reads without
+// allocating.
 func readFrameBinary(r *bufio.Reader, bufp *[]byte, dict *message.Intern) (Frame, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -221,8 +236,8 @@ func readFrameBinary(r *bufio.Reader, bufp *[]byte, dict *message.Intern) (Frame
 // frameAllocChunk steps so an attacker-controlled length prefix commits
 // memory only as body bytes actually arrive. With a non-nil bufp the
 // buffer (and its grown capacity) is reused across calls; decoded
-// frames must therefore copy what they keep, which both frame codecs
-// do (json.Unmarshal copies strings; BReader.String copies bytes).
+// frames must therefore copy what they keep, which the decoder does
+// (BReader.String copies bytes; json.Unmarshal copies the KB/ops blobs).
 func readBody(r *bufio.Reader, bufp *[]byte, n int) ([]byte, error) {
 	var buf []byte
 	if bufp != nil {

@@ -1,38 +1,19 @@
 package overlay
 
 import (
-	"bufio"
-	"bytes"
 	"testing"
 
 	"stopss/internal/message"
 )
 
 // BenchmarkWireCodec measures one pub frame through encode + decode
-// under each framing, with warmed per-link dictionaries for the binary
-// codec — the steady-state per-hop serialization cost the overlay pays
-// on every forwarded publication. Gated in CI on both ns/op and
-// allocs/op (EXPERIMENTS.md has the comparison table).
+// with warmed per-link dictionaries — the steady-state per-hop
+// serialization cost the overlay pays on every forwarded publication.
+// Gated in CI on both ns/op and allocs/op.
 func BenchmarkWireCodec(b *testing.B) {
 	ev := message.E("x", 42, "city", "Toronto", "score", 3.25)
 	f := Frame{Type: framePub, Origin: "broker-a", PubID: "broker-a#e1/99",
 		Event: &ev, Hops: []string{"broker-a", "broker-b"}}
-
-	b.Run("json", func(b *testing.B) {
-		var buf bytes.Buffer
-		var rbuf []byte
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := writeFrame(&buf, f); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := readFrame(bufio.NewReader(&buf), &rbuf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 
 	b.Run("binary", func(b *testing.B) {
 		var w message.BWriter
@@ -59,25 +40,9 @@ func BenchmarkWireCodec(b *testing.B) {
 	})
 
 	// Ops gossip frames are low-rate (one per broker per refresh
-	// interval), so these sub-benchmarks guard against accidental bloat
+	// interval), so this sub-benchmark guards against accidental bloat
 	// of the summary payload rather than a hot path.
 	ops := benchOpsFrame()
-
-	b.Run("ops-json", func(b *testing.B) {
-		var buf bytes.Buffer
-		var rbuf []byte
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := writeFrame(&buf, ops); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := readFrame(bufio.NewReader(&buf), &rbuf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 
 	b.Run("ops-binary", func(b *testing.B) {
 		var w message.BWriter
@@ -110,8 +75,8 @@ func benchOpsFrame() Frame {
 		Ops: &OpsSummary{
 			Origin: "broker-a", Epoch: "deadbeef", Seq: 12345,
 			Links: []OpsLink{
-				{Peer: "broker-b", Codec: 2, Queue: 3, Inflight: 5, Sent: 99999, Recv: 88888},
-				{Peer: "broker-c", Codec: 1, Sent: 777, Recv: 555},
+				{Peer: "broker-b", Queue: 3, Inflight: 5, Sent: 99999, Recv: 88888},
+				{Peer: "broker-c", Sent: 777, Recv: 555},
 			},
 			Subscriptions: 2048, Durable: 512, Detached: 64,
 			Published: 1 << 20, Delivered: 1 << 19, Parked: 33, DeadLetters: 2,

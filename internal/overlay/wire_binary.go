@@ -9,8 +9,8 @@ import (
 	"stopss/internal/trace"
 )
 
-// Binary frame codec (wire protocol version 1, DESIGN §6). A binary
-// frame on the wire is a uvarint body length followed by the body:
+// Binary frame codec (DESIGN §6). A frame on the wire is a uvarint body
+// length followed by the body:
 //
 //	type byte · presence mask (uvarint) · present fields in fixed order
 //
@@ -18,59 +18,15 @@ import (
 // (broker names, attributes, terms) go through a per-link, per-direction
 // interning dictionary that both ends grow deterministically, so after
 // warm-up a hop name or attribute costs one or two bytes. Knowledge
-// deltas stay as an embedded JSON blob: they are rare control-plane
-// traffic with a deeply nested shape, not worth a hand-rolled codec.
-//
-// The codec is negotiated at hello: the hello frame always travels in
-// the legacy length-prefixed JSON framing and advertises the sender's
-// maximum supported version in Frame.Codec; each side then uses
-// min(local, peer) for everything after the hello. Old peers omit the
-// field (JSON decoders ignore unknown keys), which reads as version 0 —
-// pure JSON framing — so mixed clusters keep working.
-const (
-	codecJSON   = 0 // legacy: 4-byte big-endian length + JSON body
-	codecBinary = 1 // uvarint length + binary body, interned strings
-	// codecOps adds the ops frame (broker health gossip) to the binary
-	// framing. Negotiation is unchanged — min(local, peer) — so a v1
-	// peer never receives an ops frame in binary form (its decoder
-	// rejects unknown type codes as corruption); senders gate on the
-	// negotiated link version (Node.sendOps).
-	codecOps = 2
-)
-
-// Binary frame type codes (never 0, so a zeroed byte is malformed).
-var frameTypeCode = map[string]byte{
-	frameHello: 1,
-	frameSub:   2,
-	frameUnsub: 3,
-	frameAdv:   4,
-	frameUnadv: 5,
-	framePub:   6,
-	frameKB:    7,
-	frameTrace: 8,
-	frameOps:   9,
-}
-
-var frameTypeName = map[byte]string{
-	1: frameHello,
-	2: frameSub,
-	3: frameUnsub,
-	4: frameAdv,
-	5: frameUnadv,
-	6: framePub,
-	7: frameKB,
-	8: frameTrace,
-	9: frameOps,
-}
+// deltas and ops summaries stay as embedded JSON blobs: they are rare
+// control-plane traffic with a deeply nested or evolving shape, not
+// worth a hand-rolled codec.
 
 // Presence-mask bits, one per Frame payload field, in encode order. A
-// field is present iff it would survive the JSON codec's omitempty —
-// the two codecs must agree on what an absent field means for the
-// cross-codec round-trip guarantee to hold.
+// field is present iff it is non-zero (non-empty for slices).
 const (
 	bitOrigin = 1 << iota
 	bitHops
-	bitName
 	bitSub
 	bitSubID
 	bitClient
@@ -79,7 +35,6 @@ const (
 	bitPubID
 	bitTrace
 	bitKB
-	bitCodec
 	bitOps
 
 	maskKnown = bitOps<<1 - 1
@@ -89,11 +44,10 @@ const (
 // back w's dictionary to its pre-call mark — partially encoded literals
 // have claimed ids the peer will never learn.
 func appendFrameBinary(w *message.BWriter, f Frame) error {
-	tc := frameTypeCode[f.Type]
-	if tc == 0 {
-		return fmt.Errorf("%w: unknown frame type %q", errFrameEncode, f.Type)
+	if !f.Type.valid() {
+		return fmt.Errorf("%w: unknown frame type %d", errFrameEncode, f.Type)
 	}
-	w.Byte(tc)
+	w.Byte(byte(f.Type))
 
 	var mask uint64
 	if f.Origin != "" {
@@ -101,9 +55,6 @@ func appendFrameBinary(w *message.BWriter, f Frame) error {
 	}
 	if len(f.Hops) > 0 {
 		mask |= bitHops
-	}
-	if f.Name != "" {
-		mask |= bitName
 	}
 	if f.Sub != nil {
 		mask |= bitSub
@@ -129,9 +80,6 @@ func appendFrameBinary(w *message.BWriter, f Frame) error {
 	if f.KB != nil {
 		mask |= bitKB
 	}
-	if f.Codec != 0 {
-		mask |= bitCodec
-	}
 	if f.Ops != nil {
 		mask |= bitOps
 	}
@@ -145,9 +93,6 @@ func appendFrameBinary(w *message.BWriter, f Frame) error {
 		for _, h := range f.Hops {
 			w.String(h)
 		}
-	}
-	if mask&bitName != 0 {
-		w.String(f.Name)
 	}
 	if mask&bitSub != 0 {
 		w.Subscription(*f.Sub)
@@ -183,15 +128,7 @@ func appendFrameBinary(w *message.BWriter, f Frame) error {
 		w.Uvarint(uint64(len(blob)))
 		w.Buf = append(w.Buf, blob...)
 	}
-	if mask&bitCodec != 0 {
-		// Signed: a (hostile or buggy) JSON hello can carry a negative
-		// codec, and re-encoding must not corrupt it.
-		w.Varint(int64(f.Codec))
-	}
 	if mask&bitOps != 0 {
-		// Like knowledge deltas, ops summaries travel as an embedded
-		// JSON blob: rare low-rate control-plane traffic with an
-		// evolving shape, not worth a hand-rolled codec.
 		blob, err := json.Marshal(f.Ops)
 		if err != nil {
 			return fmt.Errorf("%w: ops summary: %v", errFrameEncode, err)
@@ -210,19 +147,19 @@ func decodeFrameBinary(body []byte, dict *message.Intern) (Frame, error) {
 	if err != nil {
 		return Frame{}, err
 	}
-	var f Frame
-	if f.Type = frameTypeName[tc]; f.Type == "" {
-		return Frame{}, fmt.Errorf("overlay: unknown binary frame type %d", tc)
+	f := Frame{Type: FrameType(tc)}
+	if !f.Type.valid() {
+		return Frame{}, fmt.Errorf("overlay: unknown frame type %d", tc)
 	}
 	mask, err := r.Uvarint()
 	if err != nil {
 		return Frame{}, err
 	}
 	if mask&^uint64(maskKnown) != 0 {
-		// Unknown fields carry no length, so they cannot be skipped;
-		// version negotiation guarantees both ends speak the same
-		// version, making this corruption, not a newer peer.
-		return Frame{}, fmt.Errorf("overlay: binary frame with unknown field bits %#x", mask)
+		// Unknown fields carry no length, so they cannot be skipped; the
+		// hello guarantees both ends speak the same version, making this
+		// corruption, not a newer peer.
+		return Frame{}, fmt.Errorf("overlay: frame with unknown field bits %#x", mask)
 	}
 
 	if mask&bitOrigin != 0 {
@@ -245,11 +182,6 @@ func decodeFrameBinary(body []byte, dict *message.Intern) (Frame, error) {
 				return Frame{}, err
 			}
 			f.Hops = append(f.Hops, h)
-		}
-	}
-	if mask&bitName != 0 {
-		if f.Name, err = r.String(); err != nil {
-			return Frame{}, err
 		}
 	}
 	if mask&bitSub != 0 {
@@ -315,13 +247,6 @@ func decodeFrameBinary(body []byte, dict *message.Intern) (Frame, error) {
 			return Frame{}, fmt.Errorf("overlay: decoding kb delta: %w", err)
 		}
 		f.KB = &d
-	}
-	if mask&bitCodec != 0 {
-		c, err := r.Varint()
-		if err != nil {
-			return Frame{}, err
-		}
-		f.Codec = int(c)
 	}
 	if mask&bitOps != 0 {
 		blob, err := r.RawString()

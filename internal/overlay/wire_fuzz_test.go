@@ -4,144 +4,182 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
+	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"stopss/internal/message"
 )
 
-// frameBytes encodes one frame for seeding the corpus.
-func frameBytes(t *testing.F, f Frame) []byte {
+// frameBytes encodes one frame as a fresh link would put it on the
+// wire: uvarint length, then the body against an empty dictionary.
+func frameBytes(t testing.TB, f Frame) ([]byte, error) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, f); err != nil {
+	var wire bytes.Buffer
+	l := newWireLink(&wire)
+	if err := l.writeFrame(f); err != nil {
+		return nil, err
+	}
+	if err := l.bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return wire.Bytes(), nil
 }
 
-// FuzzFrame drives readFrame with arbitrary bytes. Four guarantees: it
-// never panics, it never allocates beyond the frame cap no matter what
-// the length prefix claims, any frame it accepts survives a JSON
-// encode→decode round trip unchanged (decode∘encode is the identity on
-// decoded frames), and the same frame pushed through the BINARY codec
-// (struct→binary→struct) is indistinguishable — by canonical JSON —
-// from the JSON round trip, so a mixed-version cluster cannot disagree
-// about a frame's meaning.
+// FuzzFrame drives the production reader — readFrameBinary with a fresh
+// dictionary, what a link's read loop runs on its first frame — with
+// arbitrary bytes. It never panics; a length prefix beyond the cap is
+// refused as errFrameTooLarge before any body is read
+// (TestReadFrameBoundedAllocation pins what that saves); and any frame
+// it accepts is a fixpoint once re-encoded: encode→decode→encode yields
+// the same bytes, so no two brokers can disagree about a relayed
+// frame's meaning.
 func FuzzFrame(f *testing.F) {
-	sub := message.NewSubscription(7, "acme",
-		message.Pred("x", message.OpGe, message.Int(10)),
-		message.Pred("city", message.OpEq, message.String("Toronto")))
-	ev := message.E("x", 42, "city", "Toronto")
-	f.Add(frameBytes(f, Frame{Type: frameHello, Name: "broker-a", Codec: codecBinary}))
-	f.Add(frameBytes(f, Frame{Type: frameSub, Origin: "c", Hops: []string{"c", "b"}, Sub: &sub}))
-	f.Add(frameBytes(f, Frame{Type: frameUnsub, Origin: "c", SubID: 7, Hops: []string{"c"}}))
-	f.Add(frameBytes(f, Frame{Type: frameAdv, Origin: "a", Client: "p",
-		Preds: []message.Predicate{message.Between("x", message.Int(0), message.Int(9))}}))
-	f.Add(frameBytes(f, Frame{Type: framePub, Origin: "a", PubID: "a#0/1", Event: &ev, Hops: []string{"a"}}))
-	// Malformed length prefixes: zero, oversized, truncated body.
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'})
-	f.Add([]byte{0, 0, 4, 0, '{', '}'})
-	f.Add(binary.BigEndian.AppendUint32(nil, maxFrameSize+1))
+	for _, fr := range testFrames() {
+		b, err := frameBytes(f, fr)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	// Malformed length prefixes: zero, oversized, overlong varint,
+	// truncated body.
+	f.Add([]byte{0})
+	f.Add(binary.AppendUvarint(nil, maxFrameSize+1))
+	f.Add(bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64+1))
+	f.Add(append(binary.AppendUvarint(nil, 1024), byte(framePub), 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := readFrame(bufio.NewReader(bytes.NewReader(data)), nil)
+		fr, err := readFrameBinary(bufio.NewReader(bytes.NewReader(data)), nil, message.NewIntern())
 		if err != nil {
-			if len(data) >= 4 {
-				if n := binary.BigEndian.Uint32(data[:4]); n > maxFrameSize && !errors.Is(err, errFrameTooLarge) {
-					t.Fatalf("length %d rejected with %v, want errFrameTooLarge", n, err)
-				}
+			if n, w := binary.Uvarint(data); w > 0 && n > maxFrameSize && !errors.Is(err, errFrameTooLarge) {
+				t.Fatalf("length %d rejected with %v, want errFrameTooLarge", n, err)
 			}
 			return // malformed input rejected: that is the contract
 		}
-		if fr.Type == "" {
-			t.Fatal("readFrame accepted a frame without a type")
+		if !fr.Type.valid() {
+			t.Fatalf("reader accepted frame type %d", fr.Type)
 		}
 
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, fr); err != nil {
-			// JSON string escaping can expand a near-cap body past the
-			// cap on re-encode; only the size limit excuses a failure.
+		b1, err := frameBytes(t, fr)
+		if err != nil {
+			// Re-marshalling an embedded KB/ops blob can escape a
+			// near-cap body past the cap; only the size limit excuses a
+			// failure.
 			if errors.Is(err, errFrameTooLarge) {
 				return
 			}
 			t.Fatalf("re-encoding an accepted frame: %v", err)
 		}
-		fr2, err := readFrame(bufio.NewReader(&buf), nil)
+		fr2, err := readFrameBinary(bufio.NewReader(bytes.NewReader(b1)), nil, message.NewIntern())
 		if err != nil {
 			t.Fatalf("re-decoding an accepted frame: %v", err)
 		}
-		// Compare via canonical JSON: the first decode may normalize
-		// arbitrary input, but a decoded frame must be a fixpoint.
-		b1, err := json.Marshal(fr)
+		// The first decode may normalize arbitrary input (overlong
+		// varints, repeated literals), but a decoded frame must be a
+		// fixpoint.
+		b2, err := frameBytes(t, fr2)
 		if err != nil {
-			t.Fatalf("marshalling decoded frame: %v", err)
-		}
-		b2, err := json.Marshal(fr2)
-		if err != nil {
-			t.Fatalf("marshalling re-decoded frame: %v", err)
+			t.Fatalf("re-encoding a re-decoded frame: %v", err)
 		}
 		if !bytes.Equal(b1, b2) {
-			t.Fatalf("round trip not stable:\n first: %s\nsecond: %s", b1, b2)
+			t.Fatalf("round trip not stable:\n first: %x\nsecond: %x", b1, b2)
 		}
+	})
+}
 
-		// Cross-codec leg: the binary codec must agree with JSON on
-		// every frame JSON accepts. An arbitrary Type string that is
-		// not a real frame type has no binary type code — that is the
-		// only excusable encode failure (the overlay never routes such
-		// frames; handleFrame ignores unknown types).
-		var bw message.BWriter
-		bw.Dict = message.NewIntern()
-		if err := appendFrameBinary(&bw, fr); err != nil {
-			if frameTypeCode[fr.Type] == 0 && errors.Is(err, errFrameEncode) {
-				return
+// legacyJSONHello is the hello of the retired JSON framing: a 4-byte
+// big-endian length, then a JSON frame.
+func legacyJSONHello() []byte {
+	body := `{"type":"hello","name":"old","codec":2}`
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// helloWithVersion is a well-formed preamble announcing version v.
+func helloWithVersion(v byte) []byte {
+	b := helloPreamble("peer")
+	b[len(helloMagic)] = v
+	return b
+}
+
+// helloCases is the hello-preamble table: what a peer may open a
+// connection with, and what readHello makes of it.
+var helloCases = []struct {
+	name     string
+	in       []byte
+	wantPeer string
+	wantErr  error
+}{
+	{name: "valid", in: helloPreamble("broker-a"), wantPeer: "broker-a"},
+	{name: "longest name", in: helloPreamble(strings.Repeat("n", maxNodeName)), wantPeer: strings.Repeat("n", maxNodeName)},
+	{name: "legacy JSON hello", in: legacyJSONHello(), wantErr: errHelloMalformed},
+	{name: "wrong magic", in: []byte("HTTP/1.1 400"), wantErr: errHelloMalformed},
+	{name: "older version", in: helloWithVersion(protocolVersion - 1), wantErr: errHelloVersion},
+	{name: "newer version", in: helloWithVersion(protocolVersion + 1), wantErr: errHelloVersion},
+	{name: "zero-length name", in: helloPreamble(""), wantErr: errHelloMalformed},
+	{name: "name shorter than declared", in: helloPreamble(strings.Repeat("n", maxNodeName))[:20], wantErr: io.ErrUnexpectedEOF},
+	{name: "truncated header", in: []byte(helloMagic), wantErr: io.ErrUnexpectedEOF},
+	{name: "empty", in: nil, wantErr: io.EOF},
+}
+
+func TestReadHello(t *testing.T) {
+	for _, tc := range helloCases {
+		peer, err := readHello(bytes.NewReader(tc.in))
+		if peer != tc.wantPeer || !errors.Is(err, tc.wantErr) {
+			t.Errorf("%s: got (%q, %v), want (%q, %v)", tc.name, peer, err, tc.wantPeer, tc.wantErr)
+		}
+	}
+}
+
+// FuzzHello feeds arbitrary bytes to readHello: it never panics, every
+// refusal is one of the two sentinels or a short read, and an accepted
+// preamble is exactly the canonical encoding of the name it yields.
+func FuzzHello(f *testing.F) {
+	for _, tc := range helloCases {
+		f.Add(tc.in)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		peer, err := readHello(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, errHelloMalformed) && !errors.Is(err, errHelloVersion) &&
+				err != io.EOF && err != io.ErrUnexpectedEOF {
+				t.Fatalf("unclassified hello error: %v", err)
 			}
-			t.Fatalf("binary-encoding an accepted frame: %v", err)
+			return
 		}
-		fr3, err := decodeFrameBinary(bw.Buf, message.NewIntern())
-		if err != nil {
-			t.Fatalf("binary round trip of an accepted frame failed: %v\nframe: %s", err, b1)
+		if peer == "" || len(peer) > maxNodeName {
+			t.Fatalf("accepted a %d-byte node name", len(peer))
 		}
-		b3, err := json.Marshal(fr3)
-		if err != nil {
-			t.Fatalf("marshalling binary-decoded frame: %v", err)
-		}
-		if !bytes.Equal(b1, b3) {
-			t.Fatalf("binary and JSON codecs disagree:\n  json:   %s\n  binary: %s", b1, b3)
+		if want := helloPreamble(peer); !bytes.HasPrefix(data, want) {
+			t.Fatalf("accepted %x, which is not the preamble of %q", data, peer)
 		}
 	})
 }
 
 // TestReadFrameBoundedAllocation pins the hardening FuzzFrame relies
 // on: a forged length prefix claiming the full 1 MiB backed by no data
-// must not allocate the claimed size up front. Both framings are
-// probed; the binary framing's varint prefix can claim the cap too.
+// must not allocate the claimed size up front.
 func TestReadFrameBoundedAllocation(t *testing.T) {
-	jsonHdr := binary.BigEndian.AppendUint32(nil, maxFrameSize)
-	binHdr := binary.AppendUvarint(nil, maxFrameSize)
+	hdr := binary.AppendUvarint(nil, maxFrameSize)
 	dict := message.NewIntern()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	const rounds = 100
 	for i := 0; i < rounds; i++ {
-		if _, err := readFrame(bufio.NewReader(bytes.NewReader(jsonHdr)), nil); err == nil {
-			t.Fatal("truncated 1MiB JSON frame must not decode")
-		}
-		if _, err := readFrameBinary(bufio.NewReader(bytes.NewReader(binHdr)), nil, dict); err == nil {
-			t.Fatal("truncated 1MiB binary frame must not decode")
+		if _, err := readFrameBinary(bufio.NewReader(bytes.NewReader(hdr)), nil, dict); err == nil {
+			t.Fatal("truncated 1MiB frame must not decode")
 		}
 	}
 	runtime.ReadMemStats(&after)
 	// Pre-hardening, each forged header committed the full claimed MiB
-	// (rounds × 1 MiB total per framing); incremental allocation stays
-	// around the initial chunk per call. A quarter of the unbounded cost
-	// is the dividing line, leaving headroom for race-detector and
-	// runtime noise.
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*rounds*maxFrameSize/4 {
+	// (rounds × 1 MiB total); incremental allocation stays around the
+	// initial chunk per call. A quarter of the unbounded cost is the
+	// dividing line, leaving headroom for race-detector and runtime
+	// noise.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > rounds*maxFrameSize/4 {
 		t.Fatalf("%d forged 1MiB headers allocated %d bytes; prefix-driven allocation is unbounded", rounds, grew)
 	}
 }

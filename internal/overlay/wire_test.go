@@ -3,9 +3,10 @@ package overlay
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"reflect"
+	"io"
 	"testing"
 	"time"
 
@@ -16,8 +17,7 @@ import (
 
 // testFrames is one frame of every type, exercising every payload
 // field at least once.
-func testFrames(t testing.TB) []Frame {
-	t.Helper()
+func testFrames() []Frame {
 	sub := message.NewSubscription(7, "acme",
 		message.Pred("x", message.OpGe, message.Int(10)),
 		message.Pred("city", message.OpEq, message.String("Toronto")))
@@ -30,7 +30,6 @@ func testFrames(t testing.TB) []Frame {
 		Root: "school", Terms: []string{"university", "college"}}
 
 	return []Frame{
-		{Type: frameHello, Name: "broker-a", Codec: codecBinary},
 		{Type: frameSub, Origin: "broker-c", Hops: []string{"broker-c", "broker-b"}, Sub: &sub},
 		{Type: frameUnsub, Origin: "broker-c", SubID: 7, Hops: []string{"broker-c"}},
 		{Type: frameAdv, Origin: "broker-a", Client: "pub-1",
@@ -40,168 +39,131 @@ func testFrames(t testing.TB) []Frame {
 		{Type: framePub, Origin: "broker-a", PubID: "broker-a/1", Event: &ev, Hops: []string{"broker-a"}, Trace: spans},
 		{Type: frameKB, Origin: "broker-a", KB: &kb, Hops: []string{"broker-a"}},
 		{Type: frameTrace, PubID: "broker-a/1", Trace: spans},
+		benchOpsFrame(),
 	}
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	sub := message.NewSubscription(7, "acme",
-		message.Pred("x", message.OpGe, message.Int(10)),
-		message.Pred("city", message.OpEq, message.String("Toronto")))
-	ev := message.E("x", 42, "city", "Toronto")
-
-	frames := []Frame{
-		{Type: frameHello, Name: "broker-a"},
-		{Type: frameSub, Origin: "broker-c", Hops: []string{"broker-c", "broker-b"}, Sub: &sub},
-		{Type: frameUnsub, Origin: "broker-c", SubID: 7, Hops: []string{"broker-c"}},
-		{Type: frameAdv, Origin: "broker-a", Client: "pub-1",
-			Preds: []message.Predicate{message.Pred("x", message.OpGe, message.Int(0))},
-			Hops:  []string{"broker-a"}},
-		{Type: frameUnadv, Origin: "broker-a", Client: "pub-1", Hops: []string{"broker-a"}},
-		{Type: framePub, Origin: "broker-a", PubID: "broker-a/1", Event: &ev, Hops: []string{"broker-a"}},
-	}
-
-	var buf bytes.Buffer
-	for _, f := range frames {
-		if err := writeFrame(&buf, f); err != nil {
-			t.Fatalf("writing %s frame: %v", f.Type, err)
-		}
-	}
-	r := bufio.NewReader(&buf)
-	var rbuf []byte
-	for i, want := range frames {
-		got, err := readFrame(r, &rbuf)
-		if err != nil {
-			t.Fatalf("reading frame %d: %v", i, err)
-		}
-		if got.Type != want.Type || got.Origin != want.Origin ||
-			got.Name != want.Name || got.Client != want.Client ||
-			got.SubID != want.SubID || got.PubID != want.PubID ||
-			!reflect.DeepEqual(got.Hops, want.Hops) {
-			t.Errorf("frame %d: got %+v, want %+v", i, got, want)
-		}
-		switch want.Type {
-		case frameSub:
-			if got.Sub == nil || got.Sub.ID != sub.ID || got.Sub.Subscriber != sub.Subscriber ||
-				len(got.Sub.Preds) != len(sub.Preds) {
-				t.Errorf("frame %d: subscription did not survive the round trip: %+v", i, got.Sub)
-			}
-			// A covered event must still satisfy the decoded form.
-			if !got.Sub.Matches(ev) {
-				t.Errorf("frame %d: decoded subscription no longer matches %v", i, ev)
-			}
-		case framePub:
-			if got.Event == nil || !got.Event.Equal(ev) {
-				t.Errorf("frame %d: event did not survive the round trip: %v", i, got.Event)
-			}
-		case frameAdv:
-			if len(got.Preds) != 1 || got.Preds[0].Attr != "x" {
-				t.Errorf("frame %d: advertisement predicates lost: %+v", i, got.Preds)
-			}
-		}
-	}
-	if _, err := readFrame(r, &rbuf); err == nil {
-		t.Error("expected EOF after the last frame")
+// newWireLink is a link with only its wire state: an encoder writing
+// into sink, as the writer goroutine would onto the connection.
+func newWireLink(sink *bytes.Buffer) *link {
+	return &link{
+		bw:   bufio.NewWriter(sink),
+		enc:  message.BWriter{Dict: message.NewIntern()},
+		peer: "peer",
 	}
 }
 
-// TestBinaryFrameRoundTrip sends every frame type through the binary
-// codec over persistent dictionaries (as a real link would) and checks
-// the decoded frames are indistinguishable — by canonical JSON — from
-// the originals. The second pass re-sends the same frames so
-// dictionary back-references are actually exercised, and must produce
-// strictly smaller bodies.
-func TestBinaryFrameRoundTrip(t *testing.T) {
-	frames := testFrames(t)
-	l := &link{codec: codecBinary, bw: nil}
-	l.enc.Dict = message.NewIntern()
-	rdict := message.NewIntern()
-
-	var firstPass, secondPass int
-	for pass := 0; pass < 2; pass++ {
-		for i, want := range frames {
-			mark := l.enc.Dict.Mark()
-			l.enc.Reset()
-			if err := appendFrameBinary(&l.enc, want); err != nil {
-				l.enc.Dict.Rollback(mark)
-				t.Fatalf("pass %d frame %d (%s): encode: %v", pass, i, want.Type, err)
-			}
-			if pass == 0 {
-				firstPass += l.enc.Len()
-			} else {
-				secondPass += l.enc.Len()
-			}
-			got, err := decodeFrameBinary(l.enc.Buf, rdict)
-			if err != nil {
-				t.Fatalf("pass %d frame %d (%s): decode: %v", pass, i, want.Type, err)
-			}
-			wantJS, err := json.Marshal(want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotJS, err := json.Marshal(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(wantJS, gotJS) {
-				t.Fatalf("pass %d frame %d (%s) round trip mismatch:\n  sent %s\n  got  %s",
-					pass, i, want.Type, wantJS, gotJS)
-			}
-		}
-	}
-	if secondPass >= firstPass {
-		t.Fatalf("interning had no effect: first pass %d bytes, second pass %d", firstPass, secondPass)
-	}
-}
-
-// TestBinaryFrameSmallerThanJSON pins the point of the exercise: a
-// warmed-up binary pub frame is a small fraction of its JSON form.
-func TestBinaryFrameSmallerThanJSON(t *testing.T) {
-	ev := message.E("x", 42, "city", "Toronto")
-	pub := Frame{Type: framePub, Origin: "broker-a", PubID: "broker-a#e/9",
-		Event: &ev, Hops: []string{"broker-a", "broker-b"}}
-
-	var w message.BWriter
-	w.Dict = message.NewIntern()
-	// Warm the dictionary with one frame, then measure the second.
-	if err := appendFrameBinary(&w, pub); err != nil {
-		t.Fatal(err)
-	}
-	w.Reset()
-	if err := appendFrameBinary(&w, pub); err != nil {
-		t.Fatal(err)
-	}
-	js, err := json.Marshal(pub)
+// frameJSON renders a frame canonically for comparison (time stamps
+// and nil-versus-empty payloads compare by value, not representation).
+func frameJSON(t testing.TB, f Frame) string {
+	t.Helper()
+	js, err := json.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Len()*2 >= len(js) {
-		t.Fatalf("binary pub frame is %d bytes vs %d JSON — expected < half", w.Len(), len(js))
+	return string(js)
+}
+
+// TestFrameRoundTrip streams every frame type through the link writer
+// and the production reader over persistent dictionaries (as a real
+// link would) and checks the decoded frames are indistinguishable from
+// the originals. The second pass re-sends the same frames so dictionary
+// back-references are actually exercised, and must produce strictly
+// fewer bytes.
+func TestFrameRoundTrip(t *testing.T) {
+	frames := testFrames()
+	var wire bytes.Buffer
+	l := newWireLink(&wire)
+	var wireLen [2]int // stream length after each pass
+	for pass := range wireLen {
+		for _, f := range frames {
+			if err := l.writeFrame(f); err != nil {
+				t.Fatalf("pass %d: writing %s frame: %v", pass, f.Type, err)
+			}
+		}
+		if err := l.bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		wireLen[pass] = wire.Len()
+	}
+	if first, second := wireLen[0], wireLen[1]-wireLen[0]; second >= first {
+		t.Fatalf("interning had no effect: first pass %d bytes, second pass %d", first, second)
+	}
+
+	r := bufio.NewReader(&wire)
+	rdict := message.NewIntern()
+	var rbuf []byte
+	for pass := range wireLen {
+		for i, want := range frames {
+			got, err := readFrameBinary(r, &rbuf, rdict)
+			if err != nil {
+				t.Fatalf("pass %d: reading frame %d (%s): %v", pass, i, want.Type, err)
+			}
+			if w, g := frameJSON(t, want), frameJSON(t, got); w != g {
+				t.Fatalf("pass %d frame %d (%s) round trip mismatch:\n  sent %s\n  got  %s", pass, i, want.Type, w, g)
+			}
+			// The decoded payloads must still behave, not just print alike.
+			switch want.Type {
+			case frameSub:
+				if ev := message.E("x", 42, "city", "Toronto"); !got.Sub.Matches(ev) {
+					t.Errorf("decoded subscription no longer matches %v", ev)
+				}
+			case framePub:
+				if !got.Event.Equal(*want.Event) {
+					t.Errorf("event did not survive the round trip: %v", got.Event)
+				}
+			}
+		}
+	}
+	if _, err := readFrameBinary(r, &rbuf, rdict); err != io.EOF {
+		t.Errorf("after the last frame: got %v, want io.EOF", err)
 	}
 }
 
-func TestBinaryFrameRejectsGarbage(t *testing.T) {
+func TestFrameRejectsGarbage(t *testing.T) {
 	dict := message.NewIntern()
 	if _, err := decodeFrameBinary(nil, dict); err == nil {
 		t.Error("empty body must be rejected")
 	}
-	if _, err := decodeFrameBinary([]byte{0x77}, dict); err == nil {
-		t.Error("unknown frame type must be rejected")
+	for _, tc := range []byte{0, byte(len(frameNames)), 0x77} {
+		if _, err := decodeFrameBinary([]byte{tc, 0}, dict); err == nil {
+			t.Errorf("unknown frame type %d must be rejected", tc)
+		}
 	}
 	// Unknown presence bits cannot be skipped (no per-field lengths).
 	var w message.BWriter
-	w.Byte(frameTypeCode[frameHello])
+	w.Byte(byte(frameUnsub))
 	w.Uvarint(maskKnown + 1)
 	if _, err := decodeFrameBinary(w.Buf, dict); err == nil {
 		t.Error("unknown presence bits must be rejected")
 	}
 	// Trailing bytes after a well-formed frame are corruption.
 	w.Reset()
-	if err := appendFrameBinary(&w, Frame{Type: frameHello, Name: "a"}); err != nil {
+	if err := appendFrameBinary(&w, Frame{Type: frameUnsub, SubID: 7}); err != nil {
 		t.Fatal(err)
 	}
 	w.Byte(0xff)
 	if _, err := decodeFrameBinary(w.Buf, message.NewIntern()); err == nil {
 		t.Error("trailing bytes must be rejected")
+	}
+	// A frame type the encoder does not know is droppable, not fatal.
+	if err := appendFrameBinary(&w, Frame{}); !errors.Is(err, errFrameEncode) {
+		t.Errorf("encoding a typeless frame: got %v, want errFrameEncode", err)
+	}
+
+	// Length prefixes: zero, beyond the cap, and longer than the data.
+	read := func(data []byte) error {
+		_, err := readFrameBinary(bufio.NewReader(bytes.NewReader(data)), nil, dict)
+		return err
+	}
+	if err := read([]byte{0}); !errors.Is(err, errFrameTooLarge) {
+		t.Errorf("zero-length frame: got %v, want errFrameTooLarge", err)
+	}
+	if err := read(binary.AppendUvarint(nil, maxFrameSize+1)); !errors.Is(err, errFrameTooLarge) {
+		t.Errorf("oversized length prefix: got %v, want errFrameTooLarge", err)
+	}
+	if err := read(append(binary.AppendUvarint(nil, 1024), byte(frameUnsub), 0)); err != io.ErrUnexpectedEOF {
+		t.Errorf("truncated body: got %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 
@@ -211,8 +173,7 @@ func TestBinaryFrameRejectsGarbage(t *testing.T) {
 // frame) diverges and later back-references resolve to wrong strings.
 func TestLinkWriteFrameOversizedRollsBackDict(t *testing.T) {
 	var sink bytes.Buffer
-	l := &link{codec: codecBinary, bw: bufio.NewWriter(&sink), peer: "peer"}
-	l.enc.Dict = message.NewIntern()
+	l := newWireLink(&sink)
 	rdict := message.NewIntern()
 
 	big := message.E("payload", string(make([]byte, maxFrameSize)))
@@ -245,31 +206,7 @@ func TestLinkWriteFrameOversizedRollsBackDict(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decoding follow-up frame after a dropped one: %v", err)
 	}
-	wantJS, _ := json.Marshal(good)
-	gotJS, _ := json.Marshal(got)
-	if !bytes.Equal(wantJS, gotJS) {
-		t.Fatalf("dictionary desynced after drop:\n  sent %s\n  got  %s", wantJS, gotJS)
-	}
-}
-
-func TestFrameRejectsGarbage(t *testing.T) {
-	// Length prefix claiming more than the cap.
-	r := bufio.NewReader(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 'x'}))
-	if _, err := readFrame(r, nil); err == nil {
-		t.Error("oversized frame length must be rejected")
-	}
-	// Valid length, invalid JSON.
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 2})
-	buf.WriteString("{]")
-	if _, err := readFrame(bufio.NewReader(&buf), nil); err == nil {
-		t.Error("malformed JSON body must be rejected")
-	}
-	// Valid JSON, missing type.
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 2})
-	buf.WriteString("{}")
-	if _, err := readFrame(bufio.NewReader(&buf), nil); err == nil {
-		t.Error("frame without type must be rejected")
+	if w, g := frameJSON(t, good), frameJSON(t, got); w != g {
+		t.Fatalf("dictionary desynced after drop:\n  sent %s\n  got  %s", w, g)
 	}
 }

@@ -33,7 +33,6 @@ const seqAttr = "sim_seq"
 // notification transport and a publication journal on disk.
 type Broker struct {
 	Name    string
-	idx     int // position in Cluster.Brokers (stable across restarts)
 	B       *broker.Broker
 	Node    *overlay.Node
 	NT      *notify.Engine
@@ -83,11 +82,10 @@ type Cluster struct {
 	Net     *Network
 	Brokers []*Broker
 
-	jcfg    journal.Config                   // template; Dir is per-broker
-	scfg    *store.Config                    // template; Path is per-broker; nil = no store
-	edges   map[[2]int]bool                  // configured topology
-	live    map[[2]int]bool                  // edges currently connected
-	nodeCfg func(i int, cfg *overlay.Config) // optional per-broker tweak
+	jcfg  journal.Config  // template; Dir is per-broker
+	scfg  *store.Config   // template; Path is per-broker; nil = no store
+	edges map[[2]int]bool // configured topology
+	live  map[[2]int]bool // edges currently connected
 
 	subs []*Sub
 	pubs []*Pub
@@ -114,15 +112,6 @@ func WithJournalConfig(cfg journal.Config) Option {
 // Scenarios stressing eviction shrink PageSize/Pages in the template.
 func WithStore(cfg store.Config) Option {
 	return func(c *Cluster) { c.scfg = &cfg }
-}
-
-// WithNodeConfig installs a per-broker overlay configuration hook, run
-// after the harness seeds Name/Listen/Transport and before the node
-// starts (also on every rejoin or crash-restart incarnation). Scenarios
-// use it to pin per-broker knobs — e.g. DisableBinary, to model a
-// mixed-version cluster where some brokers only speak the JSON codec.
-func WithNodeConfig(f func(i int, cfg *overlay.Config)) Option {
-	return func(c *Cluster) { c.nodeCfg = f }
 }
 
 // NewCluster builds n brokers (named b00, b01, …) with started overlay
@@ -152,7 +141,6 @@ func NewCluster(tb testing.TB, n int, opts ...Option) *Cluster {
 		base := knowledge.NewBase(nil, nil, nil)
 		b := &Broker{
 			Name: name,
-			idx:  i,
 			B: broker.New(core.NewEngine(base.Stage(semantic.FullConfig()),
 				core.WithKnowledge(base)), nt),
 			NT:   nt,
@@ -202,15 +190,11 @@ func NewCluster(tb testing.TB, n int, opts ...Option) *Cluster {
 // start and rejoin share this).
 func (c *Cluster) startNode(b *Broker) {
 	c.tb.Helper()
-	cfg := overlay.Config{
+	node, err := overlay.NewNode(overlay.Config{
 		Name:      b.Name,
 		Listen:    b.Name, // fabric addresses are just names
 		Transport: c.Net.Host(b.Name),
-	}
-	if c.nodeCfg != nil {
-		c.nodeCfg(b.idx, &cfg)
-	}
-	node, err := overlay.NewNode(cfg, b.B)
+	}, b.B)
 	if err != nil {
 		c.tb.Fatal(err)
 	}

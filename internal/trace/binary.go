@@ -11,10 +11,10 @@ import (
 // link and subscriber names recur heavily across a link's lifetime and
 // go through the interning dictionary; Seq does not (varint), and the
 // start time is encoded as its RFC 3339 text form — the same rendering
-// encoding/json uses — so a span survives binary→struct→JSON→struct
-// round trips byte-identically (the cross-codec fuzz target relies on
-// this; an integer-nanoseconds encoding would lose the original
-// location rendering).
+// encoding/json uses — so a span that crossed the overlay renders in
+// GET /api/v1/trace exactly as it would have at its origin (an
+// integer-nanoseconds encoding would lose the original location
+// rendering).
 
 // AppendSpans encodes spans onto w.
 func AppendSpans(w *message.BWriter, spans []Span) {

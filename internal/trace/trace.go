@@ -11,7 +11,7 @@
 // of every broker already visited, and terminal delivery outcomes on a
 // remote broker are reported BACK along the reverse forwarding path,
 // so the publishing broker (and every broker en route) ends up holding
-// the assembled span tree. `GET /api/trace/<pubID>` serves it.
+// the assembled span tree. `GET /api/v1/trace/<pubID>` serves it.
 //
 // Traces live in a bounded in-memory ring with head-based sampling:
 // the origin broker decides at publish time whether a publication is

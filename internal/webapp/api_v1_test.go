@@ -10,50 +10,50 @@ import (
 	"testing"
 )
 
-// TestAPIv1Aliases: every route is reachable under /api/v1 and the
-// legacy /api prefix, against the same broker state — a client may mix
-// the two surfaces freely mid-session.
-func TestAPIv1Aliases(t *testing.T) {
+// TestUnversionedAPINotRouted: /api/v1 is the only API prefix; the
+// unversioned /api/... spellings the server once aliased must not reach
+// a handler (POST finds only the GET-only index pattern → 405, GET
+// falls through to the index handler's 404).
+func TestUnversionedAPINotRouted(t *testing.T) {
 	ts, _ := newStack(t, nil)
-
 	if code, _ := post(t, ts, "/api/v1/register", map[string]string{"name": "acme"}); code != http.StatusOK {
 		t.Fatalf("v1 register: %d", code)
 	}
-	// Subscribe through v1, observe through legacy.
-	code, body := post(t, ts, "/api/v1/subscribe", map[string]string{
-		"client": "acme", "subscription": "(degree = PhD)",
-	})
-	if code != http.StatusOK {
-		t.Fatalf("v1 subscribe: %d %v", code, body)
-	}
-	code, legacy := get(t, ts, "/api/subscriptions?client=acme")
-	if code != http.StatusOK {
-		t.Fatalf("legacy subscriptions: %d", code)
-	}
-	if subs, _ := legacy["subscriptions"].([]any); len(subs) != 1 {
-		t.Fatalf("legacy surface sees %v, want the v1 subscription", legacy)
-	}
-	// Publish through legacy, matches must reflect the v1 subscription.
-	code, pub := post(t, ts, "/api/publish", map[string]string{"event": "(degree, PhD)"})
-	if code != http.StatusOK {
-		t.Fatalf("legacy publish: %d", code)
-	}
-	if ms, _ := pub["matches"].([]any); len(ms) != 1 {
-		t.Fatalf("legacy publish matched %v, want the v1 subscription", pub)
-	}
-	for _, path := range []string{"/api/v1/mode", "/api/v1/stats", "/api/v1/clients"} {
-		if code, _ := get(t, ts, path); code != http.StatusOK {
-			t.Errorf("GET %s: %d", path, code)
+	for _, tc := range []struct {
+		verb, path string
+		want       int
+	}{
+		{"POST", "/api/register", http.StatusMethodNotAllowed},
+		{"POST", "/api/subscribe", http.StatusMethodNotAllowed},
+		{"POST", "/api/publish", http.StatusMethodNotAllowed},
+		{"POST", "/api/resume", http.StatusMethodNotAllowed},
+		{"GET", "/api/mode", http.StatusNotFound},
+		{"GET", "/api/stats", http.StatusNotFound},
+		{"GET", "/api/subscriptions?client=acme", http.StatusNotFound},
+		{"GET", "/api/cluster", http.StatusNotFound},
+		{"GET", "/api/trace/b1%23e/1", http.StatusNotFound},
+	} {
+		req, err := http.NewRequest(tc.verb, ts.URL+tc.path, strings.NewReader(`{"name":"x","event":"(a, 1)"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s: %d, want %d", tc.verb, tc.path, resp.StatusCode, tc.want)
 		}
 	}
-	// Errors carry the same envelope on both surfaces.
-	for _, path := range []string{"/api/unsubscribe", "/api/v1/unsubscribe"} {
-		code, body := post(t, ts, path, map[string]any{"client": "acme", "id": 99})
-		if code != http.StatusNotFound {
-			t.Errorf("POST %s: %d, want 404", path, code)
+	for _, path := range []string{"/api/v1/mode", "/api/v1/stats", "/api/v1/clients", "/metrics", "/"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if c, _ := body["code"].(float64); int(c) != http.StatusNotFound {
-			t.Errorf("POST %s: envelope code %v, want 404", path, body["code"])
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: %d", path, resp.StatusCode)
 		}
 	}
 }
@@ -85,7 +85,7 @@ func TestTraceEndpointRawHash(t *testing.T) {
 	}
 
 	// Escaped form through the normal client.
-	if code, tr := get(t, ts, "/api/v1"+strings.TrimPrefix(tracePath(pubID), "/api")); code != http.StatusOK {
+	if code, tr := get(t, ts, tracePath(pubID)); code != http.StatusOK {
 		t.Fatalf("escaped trace fetch: %d (%v)", code, tr)
 	}
 

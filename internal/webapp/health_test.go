@@ -23,19 +23,19 @@ func TestSubsEndpoint(t *testing.T) {
 	ts, _, sink, ne := newDurableStack(t)
 
 	for _, name := range []string{"acme", "beta"} {
-		code, _ := post(t, ts, "/api/register", map[string]any{
+		code, _ := post(t, ts, "/api/v1/register", map[string]any{
 			"name": name, "transport": "mem", "addr": name})
 		if code != http.StatusOK {
 			t.Fatalf("register %s: %d", name, code)
 		}
 	}
-	code, body := post(t, ts, "/api/subscribe", map[string]any{
+	code, body := post(t, ts, "/api/v1/subscribe", map[string]any{
 		"client": "acme", "subscription": "(university = Toronto)", "durable": true})
 	if code != http.StatusOK {
 		t.Fatalf("durable subscribe: %d %v", code, body)
 	}
 	durID := uint64(body["id"].(float64))
-	if code, body = post(t, ts, "/api/subscribe", map[string]any{
+	if code, body = post(t, ts, "/api/v1/subscribe", map[string]any{
 		"client": "beta", "subscription": "(degree = PhD)"}); code != http.StatusOK {
 		t.Fatalf("plain subscribe: %d %v", code, body)
 	}
@@ -44,7 +44,7 @@ func TestSubsEndpoint(t *testing.T) {
 	// is 3 while the non-matching fire-and-forget sub stays at 0.
 	sink.set(true)
 	for i := 0; i < 3; i++ {
-		if code, body := post(t, ts, "/api/publish", map[string]any{"event": "(school, Toronto)"}); code != http.StatusOK {
+		if code, body := post(t, ts, "/api/v1/publish", map[string]any{"event": "(school, Toronto)"}); code != http.StatusOK {
 			t.Fatalf("publish %d: %d %v", i, code, body)
 		}
 	}
@@ -106,7 +106,7 @@ func TestSubsEndpoint(t *testing.T) {
 	// After the sink heals, a resume catches the durable sub up and the
 	// lag drains to zero.
 	sink.set(false)
-	if code, body := post(t, ts, "/api/resume", map[string]any{"client": "acme", "id": durID}); code != http.StatusOK {
+	if code, body := post(t, ts, "/api/v1/resume", map[string]any{"client": "acme", "id": durID}); code != http.StatusOK {
 		t.Fatalf("resume: %d %v", code, body)
 	}
 	if !ne.Drain(2 * time.Second) {
@@ -161,7 +161,7 @@ func TestClusterEndpoint(t *testing.T) {
 func TestMetricsHealthFamilies(t *testing.T) {
 	ts, _, sink, ne := newDurableStack(t)
 
-	code, _ := post(t, ts, "/api/register", map[string]any{
+	code, _ := post(t, ts, "/api/v1/register", map[string]any{
 		"name": "acme", "transport": "mem", "addr": "acme"})
 	if code != http.StatusOK {
 		t.Fatalf("register: %d", code)
@@ -169,14 +169,14 @@ func TestMetricsHealthFamilies(t *testing.T) {
 	// More lagging durable subs than healthTopK: the exposition must cap
 	// at the ranked gauges.
 	for i := 0; i < healthTopK+3; i++ {
-		code, body := post(t, ts, "/api/subscribe", map[string]any{
+		code, body := post(t, ts, "/api/v1/subscribe", map[string]any{
 			"client": "acme", "subscription": "(university = Toronto)", "durable": true})
 		if code != http.StatusOK {
 			t.Fatalf("subscribe %d: %d %v", i, code, body)
 		}
 	}
 	sink.set(true)
-	if code, body := post(t, ts, "/api/publish", map[string]any{"event": "(school, Toronto)"}); code != http.StatusOK {
+	if code, body := post(t, ts, "/api/v1/publish", map[string]any{"event": "(school, Toronto)"}); code != http.StatusOK {
 		t.Fatalf("publish: %d %v", code, body)
 	}
 	if !ne.Drain(2 * time.Second) {
@@ -257,14 +257,14 @@ func TestMetricsScrapeUnderChurn(t *testing.T) {
 	go func() { // subscription churn
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			code, body := post(t, ts, "/api/subscribe", map[string]any{
+			code, body := post(t, ts, "/api/v1/subscribe", map[string]any{
 				"client": "churn", "subscription": "(degree = PhD)"})
 			if code != http.StatusOK {
 				t.Errorf("subscribe %d: %d %v", i, code, body)
 				return
 			}
 			id := uint64(body["id"].(float64))
-			if code, body := post(t, ts, "/api/unsubscribe", map[string]any{
+			if code, body := post(t, ts, "/api/v1/unsubscribe", map[string]any{
 				"client": "churn", "id": id}); code != http.StatusOK {
 				t.Errorf("unsubscribe %d: %d %v", i, code, body)
 				return

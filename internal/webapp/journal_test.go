@@ -83,12 +83,12 @@ func newDurableStack(t *testing.T) (*httptest.Server, *broker.Broker, *flakySink
 func TestJournalEndpointAndDurableResume(t *testing.T) {
 	ts, _, sink, ne := newDurableStack(t)
 
-	code, _ := post(t, ts, "/api/register", map[string]any{
+	code, _ := post(t, ts, "/api/v1/register", map[string]any{
 		"name": "acme", "transport": "mem", "addr": "acme"})
 	if code != http.StatusOK {
 		t.Fatalf("register: %d", code)
 	}
-	code, body := post(t, ts, "/api/subscribe", map[string]any{
+	code, body := post(t, ts, "/api/v1/subscribe", map[string]any{
 		"client": "acme", "subscription": "(university = Toronto)", "durable": true})
 	if code != http.StatusOK {
 		t.Fatalf("durable subscribe: %d %v", code, body)
@@ -99,21 +99,21 @@ func TestJournalEndpointAndDurableResume(t *testing.T) {
 	id := body["id"].(float64)
 
 	// One delivered, then the endpoint goes away and one parks.
-	if code, body := post(t, ts, "/api/publish", map[string]any{"event": "(school, Toronto)"}); code != http.StatusOK {
+	if code, body := post(t, ts, "/api/v1/publish", map[string]any{"event": "(school, Toronto)"}); code != http.StatusOK {
 		t.Fatalf("publish: %d %v", code, body)
 	}
 	if !ne.Drain(2 * time.Second) {
 		t.Fatal("drain 1")
 	}
 	sink.set(true)
-	if code, body := post(t, ts, "/api/publish", map[string]any{"event": "(school, Toronto)"}); code != http.StatusOK {
+	if code, body := post(t, ts, "/api/v1/publish", map[string]any{"event": "(school, Toronto)"}); code != http.StatusOK {
 		t.Fatalf("publish: %d %v", code, body)
 	}
 	if !ne.Drain(2 * time.Second) {
 		t.Fatal("drain 2")
 	}
 
-	code, jbody := get(t, ts, "/api/journal")
+	code, jbody := get(t, ts, "/api/v1/journal")
 	if code != http.StatusOK {
 		t.Fatalf("journal: %d %v", code, jbody)
 	}
@@ -128,7 +128,7 @@ func TestJournalEndpointAndDurableResume(t *testing.T) {
 
 	// Reconnect and resume: the parked publication replays.
 	sink.set(false)
-	code, rbody := post(t, ts, "/api/resume", map[string]any{"client": "acme", "id": id})
+	code, rbody := post(t, ts, "/api/v1/resume", map[string]any{"client": "acme", "id": id})
 	if code != http.StatusOK {
 		t.Fatalf("resume: %d %v", code, rbody)
 	}
@@ -143,12 +143,12 @@ func TestJournalEndpointAndDurableResume(t *testing.T) {
 	}
 
 	// Resume of a non-durable sub fails.
-	code, body = post(t, ts, "/api/subscribe", map[string]any{
+	code, body = post(t, ts, "/api/v1/subscribe", map[string]any{
 		"client": "acme", "subscription": "(degree = PhD)"})
 	if code != http.StatusOK {
 		t.Fatalf("subscribe: %d %v", code, body)
 	}
-	if code, _ := post(t, ts, "/api/resume", map[string]any{"client": "acme", "id": body["id"]}); code != http.StatusConflict {
+	if code, _ := post(t, ts, "/api/v1/resume", map[string]any{"client": "acme", "id": body["id"]}); code != http.StatusConflict {
 		t.Fatalf("resume of non-durable sub: %d, want 409", code)
 	}
 }
@@ -164,19 +164,19 @@ func TestDetachEndpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	code, _ := post(t, ts, "/api/register", map[string]any{
+	code, _ := post(t, ts, "/api/v1/register", map[string]any{
 		"name": "acme", "transport": "mem", "addr": "acme"})
 	if code != http.StatusOK {
 		t.Fatalf("register: %d", code)
 	}
-	code, body := post(t, ts, "/api/subscribe", map[string]any{
+	code, body := post(t, ts, "/api/v1/subscribe", map[string]any{
 		"client": "acme", "subscription": "(university = Toronto)", "durable": true})
 	if code != http.StatusOK {
 		t.Fatalf("durable subscribe: %d %v", code, body)
 	}
 	id := body["id"].(float64)
 
-	code, dbody := post(t, ts, "/api/detach", map[string]any{"client": "acme", "id": id})
+	code, dbody := post(t, ts, "/api/v1/detach", map[string]any{"client": "acme", "id": id})
 	if code != http.StatusOK {
 		t.Fatalf("detach: %d %v", code, dbody)
 	}
@@ -185,7 +185,7 @@ func TestDetachEndpointRoundTrip(t *testing.T) {
 	}
 
 	// Published while paged out: journaled, not delivered.
-	if code, body := post(t, ts, "/api/publish", map[string]any{"event": "(school, Toronto)"}); code != http.StatusOK {
+	if code, body := post(t, ts, "/api/v1/publish", map[string]any{"event": "(school, Toronto)"}); code != http.StatusOK {
 		t.Fatalf("publish: %d %v", code, body)
 	}
 	if !ne.Drain(2 * time.Second) {
@@ -196,7 +196,7 @@ func TestDetachEndpointRoundTrip(t *testing.T) {
 	}
 
 	// Resume faults it back in and replays the missed publication.
-	code, rbody := post(t, ts, "/api/resume", map[string]any{"client": "acme", "id": id})
+	code, rbody := post(t, ts, "/api/v1/resume", map[string]any{"client": "acme", "id": id})
 	if code != http.StatusOK {
 		t.Fatalf("resume: %d %v", code, rbody)
 	}
@@ -211,24 +211,24 @@ func TestDetachEndpointRoundTrip(t *testing.T) {
 	}
 
 	// Detach of an unknown sub is a client error, not a crash.
-	if code, _ := post(t, ts, "/api/detach", map[string]any{"client": "acme", "id": 99}); code != http.StatusNotFound {
+	if code, _ := post(t, ts, "/api/v1/detach", map[string]any{"client": "acme", "id": 99}); code != http.StatusNotFound {
 		t.Fatalf("detach of unknown sub: %d, want 404", code)
 	}
 }
 
 func TestDetachEndpointWithoutStore(t *testing.T) {
 	ts, _, _, _ := newDurableStack(t)
-	if code, _ := post(t, ts, "/api/detach", map[string]any{"client": "acme", "id": 1}); code != http.StatusNotFound {
+	if code, _ := post(t, ts, "/api/v1/detach", map[string]any{"client": "acme", "id": 1}); code != http.StatusNotFound {
 		t.Fatalf("detach without store: %d, want 404", code)
 	}
 }
 
 func TestJournalEndpointWithoutJournal(t *testing.T) {
 	ts, _ := newStack(t, nil)
-	if code, _ := get(t, ts, "/api/journal"); code != http.StatusNotFound {
+	if code, _ := get(t, ts, "/api/v1/journal"); code != http.StatusNotFound {
 		t.Fatalf("journal without journal: %d, want 404", code)
 	}
-	if code, _ := post(t, ts, "/api/subscribe", map[string]any{
+	if code, _ := post(t, ts, "/api/v1/subscribe", map[string]any{
 		"client": "acme", "subscription": "(degree = PhD)", "durable": true}); code != http.StatusConflict {
 		t.Fatalf("durable subscribe without journal: %d, want 409", code)
 	}

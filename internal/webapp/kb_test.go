@@ -32,9 +32,9 @@ func newKBStack(t *testing.T) (*httptest.Server, *broker.Broker) {
 func TestKBEndpointLifecycle(t *testing.T) {
 	ts, b := newKBStack(t)
 
-	code, body := get(t, ts, "/api/kb")
+	code, body := get(t, ts, "/api/v1/kb")
 	if code != http.StatusOK {
-		t.Fatalf("GET /api/kb: %d %v", code, body)
+		t.Fatalf("GET /api/v1/kb: %d %v", code, body)
 	}
 	version := body["version"].(map[string]any)
 	if version["deltas"].(float64) != 0 {
@@ -46,13 +46,13 @@ func TestKBEndpointLifecycle(t *testing.T) {
 		`{"origin":"","epoch":"","seq":0,"op":"add_synonym","root":"position","terms":["gig"]}`,
 		`{"op":"add_isa","child":"sedan","parent":"car"}`,
 	}, "\n")
-	resp, err := http.Post(ts.URL+"/api/kb", "application/jsonl", strings.NewReader(payload))
+	resp, err := http.Post(ts.URL+"/api/v1/kb", "application/jsonl", strings.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /api/kb: %d", resp.StatusCode)
+		t.Fatalf("POST /api/v1/kb: %d", resp.StatusCode)
 	}
 	if got := b.KnowledgeVersion().Deltas; got != 2 {
 		t.Fatalf("deltas after POST: %d", got)
@@ -63,12 +63,12 @@ func TestKBEndpointLifecycle(t *testing.T) {
 	if err := b.Register(broker.Client{Name: "acme"}); err != nil {
 		t.Fatal(err)
 	}
-	code, body = post(t, ts, "/api/subscribe", map[string]any{
+	code, body = post(t, ts, "/api/v1/subscribe", map[string]any{
 		"client": "acme", "subscription": "(position = dev)"})
 	if code != http.StatusOK {
 		t.Fatalf("subscribe: %d %v", code, body)
 	}
-	code, body = post(t, ts, "/api/publish", map[string]any{"event": "(gig, dev)"})
+	code, body = post(t, ts, "/api/v1/publish", map[string]any{"event": "(gig, dev)"})
 	if code != http.StatusOK {
 		t.Fatalf("publish: %d %v", code, body)
 	}
@@ -77,7 +77,7 @@ func TestKBEndpointLifecycle(t *testing.T) {
 	}
 
 	// Malformed line: 400, but preceding state intact.
-	resp, err = http.Post(ts.URL+"/api/kb", "application/jsonl", strings.NewReader(`{"op":"bogus"}`))
+	resp, err = http.Post(ts.URL+"/api/v1/kb", "application/jsonl", strings.NewReader(`{"op":"bogus"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,17 +89,17 @@ func TestKBEndpointLifecycle(t *testing.T) {
 
 func TestKBEndpointDisabledWithoutBase(t *testing.T) {
 	ts, _ := newStack(t, nil)
-	code, _ := get(t, ts, "/api/kb")
+	code, _ := get(t, ts, "/api/v1/kb")
 	if code != http.StatusNotFound {
-		t.Fatalf("GET /api/kb without base: %d", code)
+		t.Fatalf("GET /api/v1/kb without base: %d", code)
 	}
-	resp, err := http.Post(ts.URL+"/api/kb", "application/jsonl",
+	resp, err := http.Post(ts.URL+"/api/v1/kb", "application/jsonl",
 		strings.NewReader(`{"op":"add_concept","term":"x"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("POST /api/kb without base: %d", resp.StatusCode)
+		t.Fatalf("POST /api/v1/kb without base: %d", resp.StatusCode)
 	}
 }

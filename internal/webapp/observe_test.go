@@ -11,30 +11,30 @@ import (
 	"stopss/internal/trace"
 )
 
-// tracePath escapes a pub ID for GET /api/trace/<id>: browser-side URL
+// tracePath escapes a pub ID for GET /api/v1/trace/<id>: browser-side URL
 // handling strips a raw '#' as a fragment, so clients going through a
 // URL parser send it %23-encoded, while the '/' stays literal for the
 // {id...} wildcard to capture. (The server also accepts a raw '#' —
 // see TestTraceEndpointRawHash.)
 func tracePath(pubID string) string {
-	return "/api/trace/" + strings.ReplaceAll(pubID, "#", "%23")
+	return "/api/v1/trace/" + strings.ReplaceAll(pubID, "#", "%23")
 }
 
 func TestTraceEndpoint(t *testing.T) {
 	ts, _ := newStack(t, nil)
 
-	code, _ := post(t, ts, "/api/register", map[string]string{"name": "acme"})
+	code, _ := post(t, ts, "/api/v1/register", map[string]string{"name": "acme"})
 	if code != http.StatusOK {
 		t.Fatalf("register: %d", code)
 	}
-	code, _ = post(t, ts, "/api/subscribe", map[string]string{
+	code, _ = post(t, ts, "/api/v1/subscribe", map[string]string{
 		"client":       "acme",
 		"subscription": "(degree = PhD)",
 	})
 	if code != http.StatusOK {
 		t.Fatalf("subscribe: %d", code)
 	}
-	code, body := post(t, ts, "/api/publish", map[string]string{
+	code, body := post(t, ts, "/api/v1/publish", map[string]string{
 		"event": "(degree, PhD)",
 	})
 	if code != http.StatusOK {
@@ -70,7 +70,7 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatalf("unknown trace: %d, want 404", code)
 	}
 	// A missing ID is a usage error.
-	resp, err := http.Get(ts.URL + "/api/trace/")
+	resp, err := http.Get(ts.URL + "/api/v1/trace/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,17 +84,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	ts, b := newStack(t, nil)
 	b.SetTracer(trace.New(trace.Config{Broker: "b1"}))
 
-	code, _ := post(t, ts, "/api/register", map[string]string{"name": "acme"})
+	code, _ := post(t, ts, "/api/v1/register", map[string]string{"name": "acme"})
 	if code != http.StatusOK {
 		t.Fatalf("register: %d", code)
 	}
-	code, _ = post(t, ts, "/api/subscribe", map[string]string{
+	code, _ = post(t, ts, "/api/v1/subscribe", map[string]string{
 		"client": "acme", "subscription": "(degree = PhD)",
 	})
 	if code != http.StatusOK {
 		t.Fatalf("subscribe: %d", code)
 	}
-	if code, _ := post(t, ts, "/api/publish", map[string]string{"event": "(degree, PhD)"}); code != http.StatusOK {
+	if code, _ := post(t, ts, "/api/v1/publish", map[string]string{"event": "(degree, PhD)"}); code != http.StatusOK {
 		t.Fatalf("publish: %d", code)
 	}
 

@@ -3,10 +3,8 @@
 // publication input over an HTTP/JSON API, a mode switch between
 // semantic and syntactic operation, and a statistics view.
 //
-// The API is versioned: every route lives under /api/v1/..., and the
-// original unversioned /api/... paths remain as aliases of v1 so
-// existing clients and scripts keep working. Errors are a uniform JSON
-// envelope {"error":"...","code":<http status>} with the status code
+// The API is versioned: every route lives under /api/v1/.... Errors
+// are a uniform JSON envelope {"error":"...","code":<http status>} with the status code
 // repeated in the body, and broker conditions map to proper statuses:
 // unknown client/subscription → 404, foreign subscription → 403,
 // non-durable subscription or missing journal/store → 409, malformed
@@ -79,7 +77,7 @@ type Server struct {
 	mux     *http.ServeMux
 	sources []metricSource
 	labels  map[string]string
-	// cluster supplies the federation health view for GET /api/cluster
+	// cluster supplies the federation health view for GET /api/v1/cluster
 	// (WithCluster); nil on standalone brokers.
 	cluster func() []overlay.ClusterEntry
 }
@@ -113,41 +111,29 @@ func NewServer(b *broker.Broker, opts ...Option) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	// Every API route registers twice: under the versioned /api/v1
-	// prefix (canonical) and under the original /api prefix (legacy
-	// alias, same handlers, same wire types). New routes must join this
-	// table, not bypass it, so the two surfaces can never drift.
-	routes := []struct {
-		verb, path string
-		h          http.HandlerFunc
-	}{
-		{"POST", "/register", s.handleRegister},
-		{"POST", "/subscribe", s.handleSubscribe},
-		{"POST", "/unsubscribe", s.handleUnsubscribe},
-		{"POST", "/publish", s.handlePublish},
-		{"GET", "/mode", s.handleGetMode},
-		{"POST", "/mode", s.handleSetMode},
-		{"POST", "/advertise", s.handleAdvertise},
-		{"POST", "/publish-from", s.handlePublishFrom},
-		{"GET", "/overlaps", s.handleOverlaps},
-		{"POST", "/explain", s.handleExplain},
-		{"GET", "/stats", s.handleStats},
-		{"GET", "/clients", s.handleClients},
-		{"GET", "/subscriptions", s.handleSubscriptions},
-		{"GET", "/snapshot", s.handleSnapshot},
-		{"GET", "/kb", s.handleKBStatus},
-		{"POST", "/kb", s.handleKBApply},
-		{"GET", "/journal", s.handleJournal},
-		{"POST", "/resume", s.handleResume},
-		{"POST", "/detach", s.handleDetach},
-		{"GET", "/trace/{id...}", s.handleTrace},
-		{"GET", "/subs", s.handleSubs},
-		{"GET", "/cluster", s.handleCluster},
-	}
-	for _, rt := range routes {
-		s.mux.HandleFunc(rt.verb+" /api/v1"+rt.path, rt.h)
-		s.mux.HandleFunc(rt.verb+" /api"+rt.path, rt.h)
-	}
+	// Every API route lives under the versioned /api/v1 prefix.
+	s.mux.HandleFunc("POST /api/v1/register", s.handleRegister)
+	s.mux.HandleFunc("POST /api/v1/subscribe", s.handleSubscribe)
+	s.mux.HandleFunc("POST /api/v1/unsubscribe", s.handleUnsubscribe)
+	s.mux.HandleFunc("POST /api/v1/publish", s.handlePublish)
+	s.mux.HandleFunc("GET /api/v1/mode", s.handleGetMode)
+	s.mux.HandleFunc("POST /api/v1/mode", s.handleSetMode)
+	s.mux.HandleFunc("POST /api/v1/advertise", s.handleAdvertise)
+	s.mux.HandleFunc("POST /api/v1/publish-from", s.handlePublishFrom)
+	s.mux.HandleFunc("GET /api/v1/overlaps", s.handleOverlaps)
+	s.mux.HandleFunc("POST /api/v1/explain", s.handleExplain)
+	s.mux.HandleFunc("GET /api/v1/stats", s.handleStats)
+	s.mux.HandleFunc("GET /api/v1/clients", s.handleClients)
+	s.mux.HandleFunc("GET /api/v1/subscriptions", s.handleSubscriptions)
+	s.mux.HandleFunc("GET /api/v1/snapshot", s.handleSnapshot)
+	s.mux.HandleFunc("GET /api/v1/kb", s.handleKBStatus)
+	s.mux.HandleFunc("POST /api/v1/kb", s.handleKBApply)
+	s.mux.HandleFunc("GET /api/v1/journal", s.handleJournal)
+	s.mux.HandleFunc("POST /api/v1/resume", s.handleResume)
+	s.mux.HandleFunc("POST /api/v1/detach", s.handleDetach)
+	s.mux.HandleFunc("GET /api/v1/trace/{id...}", s.handleTrace)
+	s.mux.HandleFunc("GET /api/v1/subs", s.handleSubs)
+	s.mux.HandleFunc("GET /api/v1/cluster", s.handleCluster)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /", s.handleIndex)
 	return s
@@ -171,7 +157,7 @@ type subscribeRequest struct {
 	Subscription string `json:"subscription"`
 	// Durable requests at-least-once delivery backed by the broker's
 	// publication journal: the subscription gets a cursor that advances
-	// on acknowledged delivery, and POST /api/resume replays everything
+	// on acknowledged delivery, and POST /api/v1/resume replays everything
 	// past it after a reconnect. Requires -journal-dir on the server.
 	Durable bool `json:"durable,omitempty"`
 }
@@ -200,7 +186,7 @@ type publishResponse struct {
 	Dropped  int             `json:"dropped"`
 	Parsed   string          `json:"parsed"`
 	// PubID is the publication's trace identity; feed it (with '#'
-	// URL-encoded as %23) to GET /api/trace/<pub_id>.
+	// URL-encoded as %23) to GET /api/v1/trace/<pub_id>.
 	PubID string `json:"pub_id,omitempty"`
 }
 
@@ -208,9 +194,9 @@ type modeBody struct {
 	Mode string `json:"mode"`
 }
 
-// errorBody is the uniform error envelope of every API error response,
-// versioned and legacy alike. Code repeats the HTTP status so clients
-// reading only the body (queued responses, logs) can still classify.
+// errorBody is the uniform error envelope of every API error response.
+// Code repeats the HTTP status so clients reading only the body (queued
+// responses, logs) can still classify.
 type errorBody struct {
 	Error string `json:"error"`
 	Code  int    `json:"code"`
@@ -488,7 +474,7 @@ func (s *Server) handleClients(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]string{"clients": s.broker.Clients()})
 }
 
-// subscriptionInfo is one row of the GET /api/subscriptions listing.
+// subscriptionInfo is one row of the GET /api/v1/subscriptions listing.
 type subscriptionInfo struct {
 	ID   message.SubID `json:"id"`
 	Text string        `json:"text"`
@@ -526,7 +512,7 @@ func (s *Server) handleKBStatus(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// kbApplyResult is one line's outcome in the POST /api/kb response.
+// kbApplyResult is one line's outcome in the POST /api/v1/kb response.
 type kbApplyResult struct {
 	ID        string `json:"id"`
 	Applied   bool   `json:"applied"`
@@ -646,7 +632,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 
 // handleDetach pages a durable subscription out to the subscription
 // store (requires -store-dir): its resident state is released and a
-// later POST /api/resume faults it back in with a full catch-up
+// later POST /api/v1/resume faults it back in with a full catch-up
 // replay. The natural call point is a client library's "going offline
 // for a while" signal.
 func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request) {
@@ -665,7 +651,7 @@ func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"id": req.ID, "detached": true})
 }
 
-// traceResponse is the GET /api/trace/<id> body: the publication's
+// traceResponse is the GET /api/v1/trace/<id> body: the publication's
 // span set, start-sorted, as assembled on THIS broker (span reports
 // from downstream brokers travel back along the forwarding path, so
 // the origin converges on the full tree once deliveries settle).
@@ -689,7 +675,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		id = u
 	}
 	if id == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("webapp: missing publication ID (use /api/trace/<name>%%23<epoch>/<seq>)"))
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("webapp: missing publication ID (use /api/v1/trace/<name>%%23<epoch>/<seq>)"))
 		return
 	}
 	tr := s.broker.Tracer()
@@ -806,10 +792,10 @@ async function api(path, body) {
   document.getElementById('out').textContent = text;
   return text;
 }
-function register()  { api('/api/register',  {name: document.getElementById('client').value}); }
-function subscribe() { api('/api/subscribe', {client: document.getElementById('client').value, subscription: document.getElementById('sub').value}); }
-function publish()   { api('/api/publish',   {event: document.getElementById('pub').value}); }
-function setMode()   { api('/api/mode',      {mode: document.getElementById('mode').value}); }
+function register()  { api('/api/v1/register',  {name: document.getElementById('client').value}); }
+function subscribe() { api('/api/v1/subscribe', {client: document.getElementById('client').value, subscription: document.getElementById('sub').value}); }
+function publish()   { api('/api/v1/publish',   {event: document.getElementById('pub').value}); }
+function setMode()   { api('/api/v1/mode',      {mode: document.getElementById('mode').value}); }
 </script>
 </body></html>
 `

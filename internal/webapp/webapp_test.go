@@ -72,12 +72,12 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, map[string]any) {
 func TestAPIRoundTrip(t *testing.T) {
 	ts, _ := newStack(t, nil)
 
-	code, _ := post(t, ts, "/api/register", map[string]string{"name": "acme"})
+	code, _ := post(t, ts, "/api/v1/register", map[string]string{"name": "acme"})
 	if code != http.StatusOK {
 		t.Fatalf("register: %d", code)
 	}
 
-	code, body := post(t, ts, "/api/subscribe", map[string]string{
+	code, body := post(t, ts, "/api/v1/subscribe", map[string]string{
 		"client":       "acme",
 		"subscription": "(university = Toronto) and (degree = PhD) and (professional experience >= 4)",
 	})
@@ -90,7 +90,7 @@ func TestAPIRoundTrip(t *testing.T) {
 
 	// The paper's §1 event, submitted in surface syntax, matches
 	// semantically through synonyms + mapping function.
-	code, body = post(t, ts, "/api/publish", map[string]string{
+	code, body = post(t, ts, "/api/v1/publish", map[string]string{
 		"event": "(school, Toronto)(degree, PhD)(work experience, true)(graduation year, 1990)",
 	})
 	if code != http.StatusOK {
@@ -101,13 +101,13 @@ func TestAPIRoundTrip(t *testing.T) {
 	}
 
 	// Switch to syntactic mode: the same publication no longer matches.
-	if code, _ := post(t, ts, "/api/mode", map[string]string{"mode": "syntactic"}); code != http.StatusOK {
+	if code, _ := post(t, ts, "/api/v1/mode", map[string]string{"mode": "syntactic"}); code != http.StatusOK {
 		t.Fatal("mode switch failed")
 	}
-	if _, body := get(t, ts, "/api/mode"); body["mode"] != "syntactic" {
+	if _, body := get(t, ts, "/api/v1/mode"); body["mode"] != "syntactic" {
 		t.Fatalf("mode = %v", body)
 	}
-	_, body = post(t, ts, "/api/publish", map[string]string{
+	_, body = post(t, ts, "/api/v1/publish", map[string]string{
 		"event": "(school, Toronto)(degree, PhD)(work experience, true)(graduation year, 1990)",
 	})
 	if ms := body["matches"].([]any); len(ms) != 0 {
@@ -115,14 +115,14 @@ func TestAPIRoundTrip(t *testing.T) {
 	}
 
 	// Unsubscribe and stats.
-	if code, body := post(t, ts, "/api/unsubscribe", map[string]any{"client": "acme", "id": 1}); code != http.StatusOK {
+	if code, body := post(t, ts, "/api/v1/unsubscribe", map[string]any{"client": "acme", "id": 1}); code != http.StatusOK {
 		t.Fatalf("unsubscribe: %d %v", code, body)
 	}
-	_, stats := get(t, ts, "/api/stats")
+	_, stats := get(t, ts, "/api/v1/stats")
 	if stats["Subscriptions"].(float64) != 0 || stats["Published"].(float64) != 2 {
 		t.Fatalf("stats = %v", stats)
 	}
-	_, clients := get(t, ts, "/api/clients")
+	_, clients := get(t, ts, "/api/v1/clients")
 	if cs := clients["clients"].([]any); len(cs) != 1 || cs[0] != "acme" {
 		t.Fatalf("clients = %v", clients)
 	}
@@ -135,12 +135,12 @@ func TestAPIErrors(t *testing.T) {
 		body any
 		want int
 	}{
-		{"/api/register", map[string]string{}, http.StatusBadRequest},                                          // empty name
-		{"/api/subscribe", map[string]string{"client": "ghost", "subscription": "(a=1)"}, http.StatusNotFound}, // unknown client
-		{"/api/subscribe", map[string]string{"client": "acme", "subscription": "((("}, http.StatusBadRequest},  // parse error
-		{"/api/publish", map[string]string{"event": "not an event"}, http.StatusBadRequest},                    // parse error
-		{"/api/mode", map[string]string{"mode": "quantum"}, http.StatusBadRequest},                             // unknown mode
-		{"/api/unsubscribe", map[string]any{"client": "acme", "id": 99}, http.StatusNotFound},                  // unknown sub
+		{"/api/v1/register", map[string]string{}, http.StatusBadRequest},                                          // empty name
+		{"/api/v1/subscribe", map[string]string{"client": "ghost", "subscription": "(a=1)"}, http.StatusNotFound}, // unknown client
+		{"/api/v1/subscribe", map[string]string{"client": "acme", "subscription": "((("}, http.StatusBadRequest},  // parse error
+		{"/api/v1/publish", map[string]string{"event": "not an event"}, http.StatusBadRequest},                    // parse error
+		{"/api/v1/mode", map[string]string{"mode": "quantum"}, http.StatusBadRequest},                             // unknown mode
+		{"/api/v1/unsubscribe", map[string]any{"client": "acme", "id": 99}, http.StatusNotFound},                  // unknown sub
 	}
 	for _, tc := range cases {
 		code, body := post(t, ts, tc.path, tc.body)
@@ -156,12 +156,12 @@ func TestAPIErrors(t *testing.T) {
 		}
 	}
 	// Unknown fields are rejected.
-	code, _ := post(t, ts, "/api/publish", map[string]string{"event": "(a, 1)", "bogus": "x"})
+	code, _ := post(t, ts, "/api/v1/publish", map[string]string{"event": "(a, 1)", "bogus": "x"})
 	if code != http.StatusBadRequest {
 		t.Errorf("unknown field accepted: %d", code)
 	}
 	// Malformed JSON.
-	resp, err := http.Post(ts.URL+"/api/publish", "application/json", strings.NewReader("{"))
+	resp, err := http.Post(ts.URL+"/api/v1/publish", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestIndexPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	page := sb.String()
-	for _, want := range []string{"S-ToPSS", "semantic", "syntactic", "/api/publish"} {
+	for _, want := range []string{"S-ToPSS", "semantic", "syntactic", "/api/v1/publish"} {
 		if !strings.Contains(page, want) {
 			t.Errorf("index page missing %q", want)
 		}
@@ -278,11 +278,11 @@ func TestFigure2(t *testing.T) {
 		for k, v := range routes[i%len(routes)] {
 			reg[k] = v
 		}
-		if code, body := post(t, ts, "/api/register", reg); code != http.StatusOK {
+		if code, body := post(t, ts, "/api/v1/register", reg); code != http.StatusOK {
 			t.Fatalf("register %s: %v", name, body)
 		}
 		text := subFormat(s)
-		if code, body := post(t, ts, "/api/subscribe", map[string]string{
+		if code, body := post(t, ts, "/api/v1/subscribe", map[string]string{
 			"client": name, "subscription": text,
 		}); code != http.StatusOK {
 			t.Fatalf("subscribe %q: %v", text, body)
@@ -301,7 +301,7 @@ func TestFigure2(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < len(resumes); i += 5 {
 				buf, _ := json.Marshal(map[string]string{"event": evFormat(resumes[i])})
-				resp, err := http.Post(ts.URL+"/api/publish", "application/json", bytes.NewReader(buf))
+				resp, err := http.Post(ts.URL+"/api/v1/publish", "application/json", bytes.NewReader(buf))
 				if err != nil {
 					t.Error(err)
 					return
@@ -370,17 +370,17 @@ func evFormat(e message.Event) string {
 
 func TestSubscriptionsEndpoint(t *testing.T) {
 	ts, _ := newStack(t, nil)
-	if code, _ := post(t, ts, "/api/register", map[string]string{"name": "acme"}); code != http.StatusOK {
+	if code, _ := post(t, ts, "/api/v1/register", map[string]string{"name": "acme"}); code != http.StatusOK {
 		t.Fatal("register failed")
 	}
 	for _, sub := range []string{"(a = 1)", "(b >= 2) and (c exists)"} {
-		if code, body := post(t, ts, "/api/subscribe", map[string]string{
+		if code, body := post(t, ts, "/api/v1/subscribe", map[string]string{
 			"client": "acme", "subscription": sub,
 		}); code != http.StatusOK {
 			t.Fatalf("subscribe: %v", body)
 		}
 	}
-	code, body := get(t, ts, "/api/subscriptions?client=acme")
+	code, body := get(t, ts, "/api/v1/subscriptions?client=acme")
 	if code != http.StatusOK {
 		t.Fatalf("subscriptions: %d %v", code, body)
 	}
@@ -393,26 +393,26 @@ func TestSubscriptionsEndpoint(t *testing.T) {
 		t.Errorf("text = %v", first["text"])
 	}
 	// Unknown client → empty list, missing param → 400.
-	if _, body := get(t, ts, "/api/subscriptions?client=ghost"); len(body["subscriptions"].([]any)) != 0 {
+	if _, body := get(t, ts, "/api/v1/subscriptions?client=ghost"); len(body["subscriptions"].([]any)) != 0 {
 		t.Error("ghost client should list nothing")
 	}
-	if code, _ := get(t, ts, "/api/subscriptions"); code != http.StatusBadRequest {
+	if code, _ := get(t, ts, "/api/v1/subscriptions"); code != http.StatusBadRequest {
 		t.Errorf("missing client param = %d, want 400", code)
 	}
 }
 
 func TestSnapshotEndpointRestores(t *testing.T) {
 	ts, _ := newStack(t, nil)
-	if code, _ := post(t, ts, "/api/register", map[string]string{"name": "acme"}); code != http.StatusOK {
+	if code, _ := post(t, ts, "/api/v1/register", map[string]string{"name": "acme"}); code != http.StatusOK {
 		t.Fatal("register failed")
 	}
-	if code, _ := post(t, ts, "/api/subscribe", map[string]string{
+	if code, _ := post(t, ts, "/api/v1/subscribe", map[string]string{
 		"client": "acme", "subscription": "(university = Toronto)",
 	}); code != http.StatusOK {
 		t.Fatal("subscribe failed")
 	}
 
-	resp, err := http.Get(ts.URL + "/api/snapshot")
+	resp, err := http.Get(ts.URL + "/api/v1/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,15 +442,15 @@ func TestSnapshotEndpointRestores(t *testing.T) {
 
 func TestExplainEndpoint(t *testing.T) {
 	ts, _ := newStack(t, nil)
-	if code, _ := post(t, ts, "/api/register", map[string]string{"name": "acme"}); code != http.StatusOK {
+	if code, _ := post(t, ts, "/api/v1/register", map[string]string{"name": "acme"}); code != http.StatusOK {
 		t.Fatal("register failed")
 	}
-	if code, _ := post(t, ts, "/api/subscribe", map[string]string{
+	if code, _ := post(t, ts, "/api/v1/subscribe", map[string]string{
 		"client": "acme", "subscription": "(university = Toronto) and (professional experience >= 4)",
 	}); code != http.StatusOK {
 		t.Fatal("subscribe failed")
 	}
-	code, body := post(t, ts, "/api/explain", map[string]any{
+	code, body := post(t, ts, "/api/v1/explain", map[string]any{
 		"id": 1, "event": "(school, Toronto)(graduation year, 1990)",
 	})
 	if code != http.StatusOK {
@@ -464,10 +464,10 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Errorf("trace = %q", trace)
 	}
 	// Error paths.
-	if code, _ := post(t, ts, "/api/explain", map[string]any{"id": 99, "event": "(a, 1)"}); code != http.StatusBadRequest {
+	if code, _ := post(t, ts, "/api/v1/explain", map[string]any{"id": 99, "event": "(a, 1)"}); code != http.StatusBadRequest {
 		t.Error("unknown subscription should 400")
 	}
-	if code, _ := post(t, ts, "/api/explain", map[string]any{"id": 1, "event": "broken"}); code != http.StatusBadRequest {
+	if code, _ := post(t, ts, "/api/v1/explain", map[string]any{"id": 1, "event": "broken"}); code != http.StatusBadRequest {
 		t.Error("unparsable event should 400")
 	}
 }
@@ -475,23 +475,23 @@ func TestExplainEndpoint(t *testing.T) {
 func TestAdvertiseEndpoints(t *testing.T) {
 	ts, _ := newStack(t, nil)
 	for _, name := range []string{"jobsite", "acme"} {
-		if code, _ := post(t, ts, "/api/register", map[string]string{"name": name}); code != http.StatusOK {
+		if code, _ := post(t, ts, "/api/v1/register", map[string]string{"name": name}); code != http.StatusOK {
 			t.Fatal("register failed")
 		}
 	}
-	if code, body := post(t, ts, "/api/subscribe", map[string]string{
+	if code, body := post(t, ts, "/api/v1/subscribe", map[string]string{
 		"client": "acme", "subscription": "(university = Toronto)",
 	}); code != http.StatusOK {
 		t.Fatalf("subscribe: %v", body)
 	}
-	if code, body := post(t, ts, "/api/advertise", map[string]string{
+	if code, body := post(t, ts, "/api/v1/advertise", map[string]string{
 		"client": "jobsite", "advertisement": "(school exists)",
 	}); code != http.StatusOK {
 		t.Fatalf("advertise: %v", body)
 	}
 
 	// Overlaps: the university subscription is reachable via synonyms.
-	code, body := get(t, ts, "/api/overlaps?client=jobsite")
+	code, body := get(t, ts, "/api/v1/overlaps?client=jobsite")
 	if code != http.StatusOK {
 		t.Fatalf("overlaps: %d %v", code, body)
 	}
@@ -500,7 +500,7 @@ func TestAdvertiseEndpoints(t *testing.T) {
 	}
 
 	// publish-from: conforming succeeds, non-conforming 400s.
-	code, body = post(t, ts, "/api/publish-from", map[string]string{
+	code, body = post(t, ts, "/api/v1/publish-from", map[string]string{
 		"client": "jobsite", "event": "(school, Toronto)",
 	})
 	if code != http.StatusOK {
@@ -509,24 +509,24 @@ func TestAdvertiseEndpoints(t *testing.T) {
 	if ms := body["matches"].([]any); len(ms) != 1 {
 		t.Fatalf("matches = %v", body)
 	}
-	code, body = post(t, ts, "/api/publish-from", map[string]string{
+	code, body = post(t, ts, "/api/v1/publish-from", map[string]string{
 		"client": "jobsite", "event": "(salary, 90)",
 	})
 	if code != http.StatusBadRequest {
 		t.Fatalf("non-conforming publication accepted: %v", body)
 	}
 	// Missing param on overlaps.
-	if code, _ := get(t, ts, "/api/overlaps"); code != http.StatusBadRequest {
+	if code, _ := get(t, ts, "/api/v1/overlaps"); code != http.StatusBadRequest {
 		t.Error("missing client param should 400")
 	}
 }
 
 func TestDisjunctiveSubscription(t *testing.T) {
 	ts, _ := newStack(t, nil)
-	if code, _ := post(t, ts, "/api/register", map[string]string{"name": "acme"}); code != http.StatusOK {
+	if code, _ := post(t, ts, "/api/v1/register", map[string]string{"name": "acme"}); code != http.StatusOK {
 		t.Fatal("register failed")
 	}
-	code, body := post(t, ts, "/api/subscribe", map[string]string{
+	code, body := post(t, ts, "/api/v1/subscribe", map[string]string{
 		"client":       "acme",
 		"subscription": "(university = Toronto) or (degree = PhD)",
 	})
@@ -537,23 +537,23 @@ func TestDisjunctiveSubscription(t *testing.T) {
 		t.Fatalf("ids = %v, want 2 disjunct subscriptions", body)
 	}
 	// Either disjunct alone matches.
-	_, pub := post(t, ts, "/api/publish", map[string]string{"event": "(school, Toronto)"})
+	_, pub := post(t, ts, "/api/v1/publish", map[string]string{"event": "(school, Toronto)"})
 	if ms := pub["matches"].([]any); len(ms) != 1 {
 		t.Fatalf("first disjunct: %v", pub)
 	}
-	_, pub = post(t, ts, "/api/publish", map[string]string{"event": "(degree, PhD)"})
+	_, pub = post(t, ts, "/api/v1/publish", map[string]string{"event": "(degree, PhD)"})
 	if ms := pub["matches"].([]any); len(ms) != 1 {
 		t.Fatalf("second disjunct: %v", pub)
 	}
 	// A failing disjunct rolls the whole submission back.
-	code, _ = post(t, ts, "/api/subscribe", map[string]string{
+	code, _ = post(t, ts, "/api/v1/subscribe", map[string]string{
 		"client":       "acme",
 		"subscription": "(a = 1) or (b = )",
 	})
 	if code != http.StatusBadRequest {
 		t.Fatal("malformed disjunct accepted")
 	}
-	_, listing := get(t, ts, "/api/subscriptions?client=acme")
+	_, listing := get(t, ts, "/api/v1/subscriptions?client=acme")
 	if subs := listing["subscriptions"].([]any); len(subs) != 2 {
 		t.Errorf("rollback failed, subscriptions = %v", subs)
 	}
