@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"runtime"
 	"testing"
 	"time"
 
@@ -847,13 +846,12 @@ func BenchmarkHierarchyAncestors(b *testing.B) {
 	}
 }
 
-// --- Sharded matching engine: 1 engine vs N-shard pool ---
+// --- Concurrent publishers on one engine ---
 
-// BenchmarkShard measures multi-core publication throughput of the
-// single engine against overlay.NewSharded pools (EXPERIMENTS.md §Shard).
-// Syntactic mode isolates the matching path, which is what sharding
-// parallelizes; RunParallel publishes from GOMAXPROCS goroutines.
-func BenchmarkShard(b *testing.B) {
+// BenchmarkPublishParallel measures publication throughput of one engine
+// with GOMAXPROCS goroutines publishing concurrently (EXPERIMENTS.md
+// §Shard). Syntactic mode isolates the matching path.
+func BenchmarkPublishParallel(b *testing.B) {
 	gen, err := workload.New(workload.Config{Seed: 7})
 	if err != nil {
 		b.Fatal(err)
@@ -862,40 +860,25 @@ func BenchmarkShard(b *testing.B) {
 	subs := gen.Subscriptions(nSubs)
 	events := gen.Events(1024)
 
-	for _, shards := range []int{1, 2, 4, 8} {
-		if shards > 2*runtime.NumCPU() {
-			continue
-		}
-		b.Run(fmt.Sprintf("shards=%d/subs=%d", shards, nSubs), func(b *testing.B) {
-			stage := gen.KB().Stage(semantic.FullConfig())
-			var eng core.PubSub
-			if shards == 1 {
-				eng = core.NewEngine(stage, core.WithMode(core.Syntactic))
-			} else {
-				pool := overlay.NewSharded(shards, func(int) *core.Engine {
-					return core.NewEngine(stage, core.WithMode(core.Syntactic))
-				})
-				defer pool.Close()
-				eng = pool
+	b.Run(fmt.Sprintf("subs=%d", nSubs), func(b *testing.B) {
+		eng := core.NewEngine(gen.KB().Stage(semantic.FullConfig()), core.WithMode(core.Syntactic))
+		for _, s := range subs {
+			if err := eng.Subscribe(s); err != nil {
+				b.Fatal(err)
 			}
-			for _, s := range subs {
-				if err := eng.Subscribe(s); err != nil {
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			i := 0
+			for pb.Next() {
+				if _, err := eng.Publish(events[i%len(events)]); err != nil {
 					b.Fatal(err)
 				}
+				i++
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if _, err := eng.Publish(events[i%len(events)]); err != nil {
-						b.Fatal(err)
-					}
-					i++
-				}
-			})
 		})
-	}
+	})
 }
 
 // --- Overlay federation: 1 broker vs a 3-broker chain ---

@@ -1,13 +1,12 @@
 // Command stopss-server runs the full demonstration stack of Figure 2:
 // the S-ToPSS engine over a domain ontology, the notification engine
 // with all four transports, and the web application — optionally as one
-// node of a multi-broker overlay with a sharded matching engine.
+// node of a multi-broker overlay.
 //
 // Usage:
 //
 //	stopss-server -addr :8080
 //	stopss-server -ontology my-domain.odl -matcher cluster -mode syntactic
-//	stopss-server -addr :8080 -shards 8
 //	stopss-server -addr :8081 -node b1 -overlay 127.0.0.1:7001
 //	stopss-server -addr :8082 -node b2 -overlay 127.0.0.1:7002 -peer 127.0.0.1:7001
 //	stopss-server -addr :8080 -log-format json -log-level debug
@@ -110,7 +109,6 @@ func main() {
 	matcherName := flag.String("matcher", "counting", "matching algorithm: naive, counting, cluster or tree")
 	modeName := flag.String("mode", "semantic", "initial mode: semantic or syntactic")
 	snapshot := flag.String("snapshot", "", "snapshot file: restored on start if present, written on shutdown")
-	shards := flag.Int("shards", 1, "matching engine shards (>1 enables the concurrent sharded pool)")
 	expansionCache := flag.Int("expansion-cache", core.DefaultExpansionCacheSize, "semantic expansion LRU capacity in event shapes, invalidated precisely by knowledge deltas (0 disables memoization)")
 	nodeName := flag.String("node", "", "overlay node name (default: the -addr value)")
 	overlayAddr := flag.String("overlay", "", "overlay TCP listen address for peer brokers (empty: no listener)")
@@ -157,7 +155,6 @@ func main() {
 		Matcher:        *matcherName,
 		ExpansionCache: *expansionCache,
 		Mode:           *modeName,
-		Shards:         *shards,
 	}
 	// The flag's "0 = off" maps to the journal's negative sentinel (its
 	// own zero value means "default granularity").
@@ -198,76 +195,44 @@ type stackOptions struct {
 	Ontology string
 	Matcher  string
 	Mode     string
-	Shards   int
 	// ExpansionCache is the semantic expansion LRU capacity (0 = off).
-	// Sharded deployments hold it at the pool level; single-engine ones
-	// inside the engine.
 	ExpansionCache int
-	Registry       *metrics.Registry // optional; shared with the overlay node
 }
 
 // buildStack assembles engine, notifier and broker — everything the
 // HTTP server sits on. Factored out of run so the stack is testable
-// without signals or listeners. The returned cleanup stops the sharded
-// worker pool (a no-op closure for a single engine).
-func buildStack(opts stackOptions) (*broker.Broker, *notify.Engine, func(), error) {
+// without signals or listeners.
+func buildStack(opts stackOptions) (*broker.Broker, *notify.Engine, error) {
 	src := workload.JobsODL
 	name := "builtin:jobs"
 	if opts.Ontology != "" {
 		data, err := os.ReadFile(opts.Ontology)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		src, name = string(data), opts.Ontology
 	}
 	ont, err := ontology.Load(src, ontology.Options{})
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("loading ontology %s: %w", name, err)
+		return nil, nil, fmt.Errorf("loading ontology %s: %w", name, err)
 	}
 	logger.Info("ontology loaded", "source", name, "summary", ont.Summary())
 
 	mode, err := core.ParseMode(opts.Mode)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
+	}
+	m, err := matching.New(opts.Matcher)
+	if err != nil {
+		return nil, nil, err
 	}
 	// The compiled ontology is the genesis of a runtime knowledge base;
-	// the shared semantic stage is built over the base's structures so
+	// the engine's semantic stage is built over the base's structures so
 	// delta updates (admin endpoint, -kb-watch, overlay replication)
 	// swap in coherently.
 	base := knowledge.NewBase(ont.Synonyms, ont.Hierarchy, ont.Mappings)
-	stage := base.Stage(semantic.FullConfig())
-
-	var engine core.PubSub
-	cleanup := func() {}
-	if opts.Shards > 1 {
-		// Validate the matcher name once up front; the factory below
-		// cannot report errors.
-		if _, err := matching.New(opts.Matcher); err != nil {
-			return nil, nil, nil, err
-		}
-		shardOpts := []overlay.ShardOption{
-			overlay.WithKnowledgeBase(base),
-			overlay.WithShardExpansionCache(opts.ExpansionCache),
-		}
-		if opts.Registry != nil {
-			shardOpts = append(shardOpts, overlay.WithRegistry(opts.Registry))
-		}
-		pool := overlay.NewSharded(opts.Shards, func(int) *core.Engine {
-			m, _ := matching.New(opts.Matcher)
-			// Shard engines never expand (the pool expands once and
-			// memoizes); disable their per-engine caches.
-			return core.NewEngine(stage, core.WithMatcher(m), core.WithMode(mode),
-				core.WithExpansionCache(0))
-		}, shardOpts...)
-		engine, cleanup = pool, pool.Close
-	} else {
-		m, err := matching.New(opts.Matcher)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		engine = core.NewEngine(stage, core.WithMatcher(m), core.WithMode(mode), core.WithKnowledge(base),
-			core.WithExpansionCache(opts.ExpansionCache))
-	}
+	engine := core.NewEngine(base.Stage(semantic.FullConfig()), core.WithMatcher(m), core.WithMode(mode),
+		core.WithKnowledge(base), core.WithExpansionCache(opts.ExpansionCache))
 
 	notifier, err := notify.NewEngine(notify.Config{Workers: 8},
 		notify.NewTCPTransport(0),
@@ -276,10 +241,20 @@ func buildStack(opts stackOptions) (*broker.Broker, *notify.Engine, func(), erro
 		notify.NewSMSGateway(100, 64),
 	)
 	if err != nil {
-		cleanup()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return broker.New(engine, notifier), notifier, cleanup, nil
+	return broker.New(engine, notifier), notifier, nil
+}
+
+// metricsOptions lists the registries GET /metrics exposes: the
+// broker-wide one (stage histograms, trace and overlay counters) under
+// "stopss", and the notifier's (enqueued, rejected on a full queue,
+// per-transport deliveries and latency) under "stopss_notify".
+func metricsOptions(reg *metrics.Registry, notifier *notify.Engine) []webapp.Option {
+	return []webapp.Option{
+		webapp.WithMetrics("stopss", reg),
+		webapp.WithMetrics("stopss_notify", notifier.Metrics()),
+	}
 }
 
 func run(opts stackOptions, snapshot, nodeName, overlayAddr string, peers []string, kbWatch string, kbWatchInterval time.Duration, jcfg journal.Config, scfg store.Config, obs obsOptions) error {
@@ -317,12 +292,10 @@ func run(opts stackOptions, snapshot, nodeName, overlayAddr string, peers []stri
 	}
 
 	reg := metrics.NewRegistry()
-	opts.Registry = reg
-	b, notifier, cleanup, err := buildStack(opts)
+	b, notifier, err := buildStack(opts)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
 	defer notifier.Close()
 	kbOriginName := nodeName
 	if kbOriginName == "" {
@@ -432,7 +405,7 @@ func run(opts stackOptions, snapshot, nodeName, overlayAddr string, peers []stri
 		}))
 	}
 
-	webOpts := []webapp.Option{webapp.WithMetrics("stopss", reg)}
+	webOpts := metricsOptions(reg, notifier)
 	if node != nil {
 		webOpts = append(webOpts, webapp.WithCluster(node.ClusterView))
 	}
@@ -451,7 +424,7 @@ func run(opts stackOptions, snapshot, nodeName, overlayAddr string, peers []stri
 	errCh := make(chan error, 1)
 	go func() {
 		logger.Info("listening", "addr", opts.Addr, "matcher", b.Engine().MatcherName(),
-			"mode", b.Engine().Mode().String(), "shards", opts.Shards)
+			"mode", b.Engine().Mode().String())
 		errCh <- srv.ListenAndServe()
 	}()
 

@@ -23,11 +23,10 @@ import (
 // the builtin ontology, the counting matcher, the HTTP handler tree, and
 // snapshot save/restore across two stack instances.
 func TestServerStackEndToEnd(t *testing.T) {
-	b, notifier, cleanup, err := buildStack(stackOptions{Addr: "127.0.0.1:0", Matcher: "counting", Mode: "semantic"})
+	b, notifier, err := buildStack(stackOptions{Addr: "127.0.0.1:0", Matcher: "counting", Mode: "semantic"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cleanup()
 	defer notifier.Close()
 	ts := httptest.NewServer(webapp.NewServer(b))
 	defer ts.Close()
@@ -73,11 +72,10 @@ func TestServerStackEndToEnd(t *testing.T) {
 	}
 	f.Close()
 
-	b2, notifier2, cleanup2, err := buildStack(stackOptions{Addr: "127.0.0.1:0", Matcher: "cluster", Mode: "semantic"})
+	b2, notifier2, err := buildStack(stackOptions{Addr: "127.0.0.1:0", Matcher: "cluster", Mode: "semantic"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cleanup2()
 	defer notifier2.Close()
 	f2, err := os.Open(snapPath)
 	if err != nil {
@@ -106,11 +104,10 @@ func TestServerStackEndToEnd(t *testing.T) {
 // the new file's earlier lines entirely and stamp its tail with
 // continuation line numbers no fresh reader of the same file mints.
 func TestKBWatcherDetectsRewrite(t *testing.T) {
-	b, notifier, cleanup, err := buildStack(stackOptions{Addr: "127.0.0.1:0", Matcher: "counting", Mode: "semantic"})
+	b, notifier, err := buildStack(stackOptions{Addr: "127.0.0.1:0", Matcher: "counting", Mode: "semantic"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cleanup()
 	defer notifier.Close()
 
 	path := filepath.Join(t.TempDir(), "update.jsonl")
@@ -162,16 +159,13 @@ func TestKBWatcherDetectsRewrite(t *testing.T) {
 }
 
 func TestBuildStackRejectsBadFlags(t *testing.T) {
-	if _, _, _, err := buildStack(stackOptions{Addr: "x", Matcher: "quantum", Mode: "semantic"}); err == nil {
+	if _, _, err := buildStack(stackOptions{Addr: "x", Matcher: "quantum", Mode: "semantic"}); err == nil {
 		t.Error("unknown matcher must fail")
 	}
-	if _, _, _, err := buildStack(stackOptions{Addr: "x", Matcher: "quantum", Mode: "semantic", Shards: 4}); err == nil {
-		t.Error("unknown matcher must fail in sharded mode too")
-	}
-	if _, _, _, err := buildStack(stackOptions{Addr: "x", Matcher: "counting", Mode: "psychic"}); err == nil {
+	if _, _, err := buildStack(stackOptions{Addr: "x", Matcher: "counting", Mode: "psychic"}); err == nil {
 		t.Error("unknown mode must fail")
 	}
-	if _, _, _, err := buildStack(stackOptions{Addr: "x", Ontology: "/nonexistent.odl", Matcher: "counting", Mode: "semantic"}); err == nil {
+	if _, _, err := buildStack(stackOptions{Addr: "x", Ontology: "/nonexistent.odl", Matcher: "counting", Mode: "semantic"}); err == nil {
 		t.Error("missing ontology file must fail")
 	}
 	dir := t.TempDir()
@@ -179,51 +173,8 @@ func TestBuildStackRejectsBadFlags(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("this is not odl"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := buildStack(stackOptions{Addr: "x", Ontology: bad, Matcher: "counting", Mode: "semantic"}); err == nil {
+	if _, _, err := buildStack(stackOptions{Addr: "x", Ontology: bad, Matcher: "counting", Mode: "semantic"}); err == nil {
 		t.Error("malformed ontology must fail")
-	}
-}
-
-// TestServerStackSharded runs the HTTP stack on an 8-shard engine pool:
-// the same publish/subscribe flow must behave identically.
-func TestServerStackSharded(t *testing.T) {
-	b, notifier, cleanup, err := buildStack(stackOptions{Addr: "127.0.0.1:0", Matcher: "counting", Mode: "semantic", Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
-	defer notifier.Close()
-	ts := httptest.NewServer(webapp.NewServer(b))
-	defer ts.Close()
-
-	buf, _ := json.Marshal(map[string]any{"name": "acme"})
-	resp, err := http.Post(ts.URL+"/api/v1/register", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	buf, _ = json.Marshal(map[string]any{
-		"client":       "acme",
-		"subscription": "(university = Toronto) and (professional experience >= 4)",
-	})
-	resp, err = http.Post(ts.URL+"/api/v1/subscribe", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	ev, err := sublang.ParseEvent("(school, Toronto)(graduation year, 1990)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := b.Publish(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) != 1 {
-		t.Fatalf("sharded stack matches = %v", res.Matches)
-	}
-	if got := b.Engine().MatcherName(); got != "counting×8" {
-		t.Fatalf("matcher name = %q", got)
 	}
 }
 
@@ -233,11 +184,10 @@ func TestServerStackSharded(t *testing.T) {
 // hour-long watcher provably cannot have fired yet — without asserting
 // tight wall-clock latencies that flake on loaded CI runners.
 func TestKBWatchIntervalPromptPickup(t *testing.T) {
-	b, notifier, cleanup, err := buildStack(stackOptions{Addr: "127.0.0.1:0", Matcher: "counting", Mode: "semantic"})
+	b, notifier, err := buildStack(stackOptions{Addr: "127.0.0.1:0", Matcher: "counting", Mode: "semantic"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cleanup()
 	defer notifier.Close()
 
 	dir := t.TempDir()
@@ -294,11 +244,10 @@ func TestServerJournalRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, notifier, cleanup, err := buildStack(stackOptions{Addr: "127.0.0.1:0", Matcher: "counting", Mode: "semantic"})
+	b, notifier, err := buildStack(stackOptions{Addr: "127.0.0.1:0", Matcher: "counting", Mode: "semantic"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cleanup()
 	defer notifier.Close()
 	b.AttachJournal(jnl)
 
@@ -361,11 +310,10 @@ func TestServerJournalRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jnl2.Close()
-	b2, notifier2, cleanup2, err := buildStack(stackOptions{Addr: "127.0.0.1:0", Matcher: "counting", Mode: "semantic"})
+	b2, notifier2, err := buildStack(stackOptions{Addr: "127.0.0.1:0", Matcher: "counting", Mode: "semantic"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cleanup2()
 	defer notifier2.Close()
 	b2.AttachJournal(jnl2)
 	f2, err := os.Open(snapPath)

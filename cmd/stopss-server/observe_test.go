@@ -69,13 +69,10 @@ type obsBroker struct {
 func startObsBroker(t *testing.T, name string, peers ...string) *obsBroker {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	b, notifier, cleanup, err := buildStack(stackOptions{
-		Addr: "127.0.0.1:0", Matcher: "counting", Mode: "semantic", Registry: reg,
-	})
+	b, notifier, err := buildStack(stackOptions{Addr: "127.0.0.1:0", Matcher: "counting", Mode: "semantic"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(cleanup)
 	t.Cleanup(func() { notifier.Close() })
 	node, err := overlay.NewNode(overlay.Config{
 		Name:      name,
@@ -92,8 +89,7 @@ func startObsBroker(t *testing.T, name string, peers ...string) *obsBroker {
 	}
 	t.Cleanup(func() { _ = node.Close() })
 	ts := httptest.NewServer(webapp.NewServer(b,
-		webapp.WithMetrics("stopss", reg),
-		webapp.WithCluster(node.ClusterView)))
+		append(metricsOptions(reg, notifier), webapp.WithCluster(node.ClusterView))...))
 	t.Cleanup(ts.Close)
 	return &obsBroker{b: b, node: node, ts: ts}
 }
@@ -292,6 +288,11 @@ func TestTwoBrokerObservability(t *testing.T) {
 			if !found {
 				t.Errorf("broker %d: %s missing or zero in /metrics", i+1, metric)
 			}
+		}
+		// The notifier's queue-full drop counter is exported from boot,
+		// at 0 before any queue ever overflowed.
+		if !strings.Contains(text, "\nstopss_notify_rejected_total{") {
+			t.Errorf("broker %d: /metrics lacks the stopss_notify_rejected_total family", i+1)
 		}
 	}
 }

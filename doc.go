@@ -12,7 +12,7 @@
 //   - internal/core      — the S-ToPSS engine (Figure 1)
 //   - internal/broker    — the pub/sub event dispatcher
 //   - internal/overlay   — multi-broker federation (covering-based
-//     subscription routing over TCP) and the sharded engine pool
+//     subscription routing over TCP)
 //   - internal/notify    — TCP/UDP/SMTP/SMS notification engine (Figure 2)
 //   - internal/webapp    — demonstration web application (Figure 2)
 //   - internal/workload  — workload generator (paper §4)

@@ -57,19 +57,18 @@ func (b *Broker) SetForwarder(f Forwarder) {
 // The overlay node fills it via SetRemoteStatsSource; a standalone
 // broker reports zeros.
 type RemoteStats struct {
-	Peers         int      // connected peer links
-	SubsForwarded uint64   // subscriptions sent to peers
-	SubsPruned    uint64   // subscriptions suppressed by a covering sub
-	SubsReissued  uint64   // suppressed subs re-advertised after un-covering
-	PubsForwarded uint64   // publications sent along matching links
-	PubsReceived  uint64   // publications accepted from peers
-	PubsDeduped   uint64   // duplicate publications dropped
-	AdvertsSeen   uint64   // remote advertisements currently held
-	RemoteSubs    int      // remote subscriptions currently routed
-	KBForwarded   uint64   // knowledge deltas sent to peers
-	KBReceived    uint64   // knowledge deltas accepted from peers
-	KBDeduped     uint64   // duplicate knowledge deltas dropped
-	ShardMatches  []uint64 // per-shard match counts (sharded engine only)
+	Peers         int    // connected peer links
+	SubsForwarded uint64 // subscriptions sent to peers
+	SubsPruned    uint64 // subscriptions suppressed by a covering sub
+	SubsReissued  uint64 // suppressed subs re-advertised after un-covering
+	PubsForwarded uint64 // publications sent along matching links
+	PubsReceived  uint64 // publications accepted from peers
+	PubsDeduped   uint64 // duplicate publications dropped
+	AdvertsSeen   uint64 // remote advertisements currently held
+	RemoteSubs    int    // remote subscriptions currently routed
+	KBForwarded   uint64 // knowledge deltas sent to peers
+	KBReceived    uint64 // knowledge deltas accepted from peers
+	KBDeduped     uint64 // duplicate knowledge deltas dropped
 }
 
 // SetRemoteStatsSource installs the overlay's stats callback; Stats()

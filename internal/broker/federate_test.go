@@ -183,7 +183,6 @@ func TestRemoteStatsSource(t *testing.T) {
 		PubsForwarded: 11,
 		PubsDeduped:   1,
 		RemoteSubs:    5,
-		ShardMatches:  []uint64{4, 4},
 	}
 	calls := 0
 	b.SetRemoteStatsSource(func() RemoteStats { calls++; return want })

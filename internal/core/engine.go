@@ -91,7 +91,7 @@ type Stats struct {
 	// come from the matcher (compiled subscription plans shared across
 	// duplicates); expansion counters from the engine's semantic-
 	// expansion LRU; InternedTerms is the size of the process-wide
-	// string-intern table (global, so Merge takes the max, not the sum).
+	// string-intern table.
 	PlanCacheHits        uint64
 	PlanCacheMisses      uint64
 	PlansCached          int
@@ -104,10 +104,10 @@ type Stats struct {
 }
 
 // PubSub is the engine surface the broker (and everything above it)
-// programs against. *Engine implements it directly; overlay.ShardedEngine
-// implements it by fanning out over a pool of Engines. Keeping the
-// broker on this interface is what lets one deployment swap a single
-// engine for a sharded pool without touching the dispatch layer.
+// programs against. *Engine is the one implementation; keeping the
+// broker on an interface lets a caller wrap the engine — the benchmark
+// harness times every call through a decorator — without touching the
+// dispatch layer.
 type PubSub interface {
 	Subscribe(s message.Subscription) error
 	Unsubscribe(id message.SubID) bool
@@ -208,11 +208,6 @@ func NewEngine(stage *semantic.Stage, opts ...Option) *Engine {
 	e.stageVersion = e.stage.Version()
 	return e
 }
-
-// ExpansionCache exposes the engine's expansion LRU (nil when disabled).
-// The sharded pool reuses the same type at pool level; this accessor
-// exists for tests and diagnostics.
-func (e *Engine) ExpansionCache() *ExpansionCache { return e.expCache }
 
 // Stage exposes the semantic stage (e.g. for the ontology loader).
 func (e *Engine) Stage() *semantic.Stage { return e.stage }
@@ -423,25 +418,8 @@ func (e *Engine) expandLocked(ev message.Event) semantic.Result {
 		return res
 	}
 	res := e.stage.ProcessEvent(ev)
-	e.expCache.Put(sig, res, EventTerms(ev))
+	e.expCache.Put(sig, res, eventTerms(ev))
 	return res
-}
-
-// MatchEvents matches a set of already-expanded events against the
-// index, bypassing the semantic stage, and returns the union of the
-// matches in ascending order. A sharded deployment expands a
-// publication once and hands the derived set to every shard through
-// this entry point, so the (identical) semantic work is not repeated
-// per shard. Only matching counters are updated; the caller owns the
-// publication-level statistics.
-func (e *Engine) MatchEvents(events []message.Event) []message.SubID {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t0 := time.Now()
-	matches := e.unionMatchesLocked(events)
-	e.stats.MatchTime += time.Since(t0)
-	e.stats.Matches += uint64(len(matches))
-	return matches
 }
 
 // unionMatchesLocked matches every derived event and returns the
@@ -476,50 +454,6 @@ func (e *Engine) unionMatchesLocked(events []message.Event) []message.SubID {
 	out := make([]message.SubID, n)
 	copy(out, ids[:n])
 	return out
-}
-
-// Merge accumulates another snapshot into s, summing counters and
-// durations. The sharded engine uses it to roll per-shard statistics
-// into one engine-level view (Subscriptions sums because shards
-// partition the subscription set).
-func (s Stats) Merge(o Stats) Stats {
-	s.Subscriptions += o.Subscriptions
-	s.SubsAdded += o.SubsAdded
-	s.SubsRemoved += o.SubsRemoved
-	s.Events += o.Events
-	s.DerivedEvents += o.DerivedEvents
-	s.Matches += o.Matches
-	s.SynonymRewrites += o.SynonymRewrites
-	s.HierarchyPairs += o.HierarchyPairs
-	s.MappingPairs += o.MappingPairs
-	s.MappingCalls += o.MappingCalls
-	s.Truncated += o.Truncated
-	s.SemanticTime += o.SemanticTime
-	s.MatchTime += o.MatchTime
-	s.KBReindexed += o.KBReindexed
-	s.KBFullReindexes += o.KBFullReindexes
-	s.PlanCacheHits += o.PlanCacheHits
-	s.PlanCacheMisses += o.PlanCacheMisses
-	s.PlansCached += o.PlansCached
-	s.ExpansionHits += o.ExpansionHits
-	s.ExpansionMisses += o.ExpansionMisses
-	s.ExpansionEvictions += o.ExpansionEvictions
-	s.ExpansionInvalidated += o.ExpansionInvalidated
-	s.ExpansionSize += o.ExpansionSize
-	// The intern table is process-global: every engine reports the same
-	// table, so a merge keeps the larger snapshot instead of summing.
-	if o.InternedTerms > s.InternedTerms {
-		s.InternedTerms = o.InternedTerms
-	}
-	// KB version fields are per-base, not additive: a sharded pool's
-	// shards share one base bound at the pool level, so at most one
-	// side of a merge carries them.
-	if s.KBVersion == "" {
-		s.KBVersion = o.KBVersion
-		s.KBDeltas += o.KBDeltas
-		s.KBRejected += o.KBRejected
-	}
-	return s
 }
 
 // Stats returns a snapshot of engine counters.

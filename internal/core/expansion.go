@@ -25,8 +25,8 @@ const DefaultExpansionCacheSize = 1024
 // mentions a changed term as written. Hierarchy and mapping deltas
 // restructure the expansion stages themselves and flush the whole cache.
 //
-// The cache is safe for concurrent use; the sharded pool probes it from
-// concurrent publishers.
+// The cache is safe for concurrent use: Engine.Stats snapshots its
+// counters without holding the engine lock.
 type ExpansionCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -87,7 +87,7 @@ func (c *ExpansionCache) Get(sig string) (semantic.Result, bool) {
 
 // Put memoizes an expansion under the event signature, evicting the
 // least-recently-used entry when full. terms are the raw terms of the
-// original event (EventTerms); the slice is retained.
+// original event (eventTerms); the slice is retained.
 func (c *ExpansionCache) Put(sig string, res semantic.Result, terms []string) {
 	if c == nil {
 		return
@@ -149,16 +149,6 @@ func (c *ExpansionCache) Flush() {
 	c.head, c.tail = nil, nil
 }
 
-// Len reports the current entry count.
-func (c *ExpansionCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Stats snapshots the cache counters.
 func (c *ExpansionCache) Stats() ExpansionCacheStats {
 	if c == nil {
@@ -213,10 +203,9 @@ func (c *ExpansionCache) evict(en *expEntry) {
 	delete(c.entries, en.key)
 }
 
-// EventTerms collects the raw terms of an event — attribute names plus
-// string values — for expansion-cache invalidation bookkeeping. The
-// sharded pool uses it to stamp entries in its pool-level cache.
-func EventTerms(ev message.Event) []string {
+// eventTerms collects the raw terms of an event — attribute names plus
+// string values — for expansion-cache invalidation bookkeeping.
+func eventTerms(ev message.Event) []string {
 	terms := make([]string, 0, ev.Len())
 	for _, p := range ev.Pairs() {
 		terms = append(terms, p.Attr)

@@ -91,10 +91,11 @@ func (e *Engine) invalidateExpansionsLocked(d knowledge.Delta, refolded bool, af
 	e.stageVersion = e.stage.Version()
 }
 
-// ReindexKnowledge re-indexes the subscriptions a knowledge update
-// affected, under the engine lock. The sharded pool calls this per
-// shard after applying the delta once and swapping the shared stage;
-// single-engine deployments go through ApplyKnowledge instead.
+// ReindexKnowledge re-indexes the subscriptions whose original form
+// mentions an affected term (every subscription when full), under the
+// engine lock, and reports how many it re-indexed. ApplyKnowledge runs
+// the same re-index itself; this entry point lets benchmarks price the
+// incremental path against a full re-index.
 func (e *Engine) ReindexKnowledge(affected []string, full bool) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -167,7 +167,8 @@ type Engine struct {
 	closed      bool
 	seq         uint64
 
-	reg *metrics.Registry
+	reg                *metrics.Registry
+	enqueued, rejected *metrics.Counter // Dispatch admission outcomes
 }
 
 // NewEngine builds a dispatcher over the given transports.
@@ -180,6 +181,10 @@ func NewEngine(cfg Config, transports ...Transport) (*Engine, error) {
 		routes:     make(map[string]Route),
 		reg:        metrics.NewRegistry(),
 	}
+	// Registered up front so an exposition shows both at 0 before the
+	// first dispatch: a queue that never overflowed reports rejected 0
+	// rather than no series at all.
+	e.enqueued, e.rejected = e.reg.Counter("enqueued"), e.reg.Counter("rejected")
 	for _, tr := range transports {
 		if tr.Name() == "" {
 			return nil, fmt.Errorf("notify: transport with empty name")
@@ -249,11 +254,11 @@ func (e *Engine) Dispatch(n Notification) error {
 	e.inflight.Add(1)
 	select {
 	case e.queue <- job{n: n, r: r}:
-		e.reg.Counter("enqueued").Inc()
+		e.enqueued.Inc()
 		return nil
 	default:
 		e.inflight.Add(-1)
-		e.reg.Counter("rejected").Inc()
+		e.rejected.Inc()
 		return ErrQueueFull
 	}
 }

@@ -1004,7 +1004,7 @@ func (n *Node) remoteStats() broker.RemoteStats {
 		adverts += len(l.adverts)
 	}
 	n.mu.Unlock()
-	rs := broker.RemoteStats{
+	return broker.RemoteStats{
 		Peers:         peers,
 		RemoteSubs:    remoteSubs,
 		AdvertsSeen:   uint64(adverts),
@@ -1018,8 +1018,4 @@ func (n *Node) remoteStats() broker.RemoteStats {
 		KBReceived:    n.kbReceived.Value(),
 		KBDeduped:     n.kbDeduped.Value(),
 	}
-	if se, ok := n.b.Engine().(*ShardedEngine); ok {
-		rs.ShardMatches = se.ShardMatchCounts()
-	}
-	return rs
 }

@@ -7,10 +7,11 @@ import (
 	"stopss/internal/message"
 )
 
-// TestSetConfigConcurrentWithProcessEvent is the regression test for the
-// latent race the sharded engine exposed: the stage is shared by all
-// shards, and config writes used to be plain field assignments. Run with
-// -race.
+// TestSetConfigConcurrentWithProcessEvent is the regression test for a
+// latent race on the stage snapshot: one stage is read by every
+// publisher expanding events (and by overlay routing) while SetConfig
+// swaps it, and config writes used to be plain field assignments. Run
+// with -race.
 func TestSetConfigConcurrentWithProcessEvent(t *testing.T) {
 	syn := NewSynonyms()
 	if err := syn.AddGroup("position", "job"); err != nil {

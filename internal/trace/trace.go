@@ -4,7 +4,7 @@
 // Every publication a broker accepts is assigned a federation-unique
 // trace ID — its publication ID `broker#epoch/seq`, the same identity
 // the overlay already uses for duplicate suppression. Each stage the
-// publication passes through (publish admission, journal append, shard
+// publication passes through (publish admission, journal append,
 // match, per-link forward, remote receive, terminal deliver/ack or
 // dead-letter) records a Span against that ID. Spans travel with the
 // publication: overlay pub frames carry the accumulated span records
