@@ -1,20 +1,20 @@
 package stopss
 
-// Benchmarks regenerating the performance tables of EXPERIMENTS.md.
-// One benchmark family per experiment:
+// Diagnostic benchmarks behind the tables of EXPERIMENTS.md (DESIGN
+// §5); the end-to-end benchmark is benchmark/run.sh. Families include:
 //
-//	T1  BenchmarkPipeline      — per-event latency of each pipeline stage
-//	T3  BenchmarkMatcher       — matcher scaling with subscription count
-//	T5  BenchmarkSynonyms      — hash vs linear synonym resolution
-//	T6  BenchmarkFixpoint      — mapping-chain expansion cost
-//	T8  BenchmarkNotify        — per-transport delivery latency
-//	T10 BenchmarkJournalAppend / BenchmarkDurablePublish — durable
-//	    journal cost on the publish hot path (+ group-commit batching)
-//	F1  BenchmarkFigure1       — the paper's §1 golden publication
-//	F2  BenchmarkJobFinder     — broker end to end on the demo scenario
+//	BenchmarkPipeline      — per-event latency of each pipeline stage
+//	BenchmarkMatcher       — matcher scaling with subscription count
+//	BenchmarkSynonyms      — hash vs linear synonym resolution
+//	BenchmarkFixpoint      — mapping-chain expansion cost
+//	BenchmarkNotify        — per-transport delivery latency
+//	BenchmarkJournalAppend / BenchmarkDurablePublish — durable journal
+//	    cost on the publish hot path (EXPERIMENTS T10)
+//	BenchmarkFigure1       — the paper's §1 golden publication
+//	BenchmarkJobFinder     — broker end to end on the demo scenario
 //
-// T2/T4/T7 report match COUNTS rather than time; their tables come from
-// `go run ./cmd/stopss-bench -exp T2,T4,T7`.
+// The count-style claims (recall per semantic stage, loss tolerance,
+// cross-domain bridges) are tests in internal/core.
 
 import (
 	"fmt"
@@ -40,7 +40,7 @@ import (
 	"stopss/internal/workload"
 )
 
-// --- T3: matcher scaling ---
+// --- matcher scaling ---
 
 func BenchmarkMatcher(b *testing.B) {
 	gen, err := workload.New(workload.Config{Seed: 3})
@@ -55,7 +55,7 @@ func BenchmarkMatcher(b *testing.B) {
 	for _, alg := range matching.Algorithms() {
 		for _, n := range sizes {
 			if alg == "naive" && n > 10000 {
-				continue // minutes per op; T3 prints the trend up to 10k
+				continue // minutes per op; the trend is visible up to 10k
 			}
 			b.Run(fmt.Sprintf("%s/subs=%d", alg, n), func(b *testing.B) {
 				m, err := matching.New(alg)
@@ -100,7 +100,7 @@ func BenchmarkMatcherAdd(b *testing.B) {
 	}
 }
 
-// --- T1: pipeline stages ---
+// --- pipeline stages ---
 
 func BenchmarkPipeline(b *testing.B) {
 	gen, err := workload.New(workload.Config{Seed: 1})
@@ -163,7 +163,7 @@ func BenchmarkSemanticStageOnly(b *testing.B) {
 	}
 }
 
-// --- T5: hash vs linear synonym tables ---
+// --- hash vs linear synonym tables ---
 
 func BenchmarkSynonyms(b *testing.B) {
 	for _, n := range []int{1000, 100000} {
@@ -194,7 +194,7 @@ func BenchmarkSynonyms(b *testing.B) {
 	}
 }
 
-// --- T6: mapping-chain fixpoint ---
+// --- mapping-chain fixpoint ---
 
 func BenchmarkFixpoint(b *testing.B) {
 	for _, hops := range []int{1, 2, 4, 8} {
@@ -213,7 +213,7 @@ func BenchmarkFixpoint(b *testing.B) {
 	}
 }
 
-// --- T8: notification transports ---
+// --- notification transports ---
 
 func BenchmarkNotify(b *testing.B) {
 	drop := func(notify.Notification) {}
@@ -264,7 +264,7 @@ func BenchmarkNotify(b *testing.B) {
 	}
 }
 
-// --- F1: the paper's golden example ---
+// --- the paper's golden example ---
 
 func BenchmarkFigure1(b *testing.B) {
 	ont, err := ontology.Load(workload.JobsODL, ontology.Options{})
@@ -292,7 +292,7 @@ func BenchmarkFigure1(b *testing.B) {
 	}
 }
 
-// --- F2: broker end to end on the demo scenario ---
+// --- broker end to end on the demo scenario ---
 
 func BenchmarkJobFinderEndToEnd(b *testing.B) {
 	ont, err := ontology.Load(workload.JobsODL, ontology.Options{})
@@ -447,8 +447,8 @@ func kbBenchEngine(b *testing.B, n int) *core.Engine {
 
 // --- T10: durable publication journal ---
 
-// BenchmarkJournalAppend gates the journal's buffered append path in
-// CI: encode, CRC, frame, segment-roll checks — everything the durable
+// BenchmarkJournalAppend measures the journal's buffered append path:
+// encode, CRC, frame, segment-roll checks — everything the durable
 // publish path pays per publication EXCEPT the fsync (group commit is
 // measured separately; its cost is dominated by the device, not the
 // code).
@@ -471,8 +471,8 @@ func BenchmarkJournalAppend(b *testing.B) {
 // BenchmarkJournalGroupCommit measures the fsync'd append under
 // concurrency: parallel appenders share commits, so per-append cost
 // falls as batching kicks in. The commits/appends ratio is reported as
-// a metric. Not part of the CI gate — fsync latency is a property of
-// the runner's disk, not of this code.
+// a metric. Fsync latency is a property of the disk, not of this
+// code.
 func BenchmarkJournalGroupCommit(b *testing.B) {
 	j, err := journal.Open(journal.Config{Dir: b.TempDir(), Fsync: true})
 	if err != nil {
@@ -500,9 +500,8 @@ func BenchmarkJournalGroupCommit(b *testing.B) {
 }
 
 // BenchmarkJournalReplay measures catch-up scan throughput: one pass
-// over a 10k-record journal (decode + CRC per record). Not gated —
-// replay is an off-hot-path recovery operation; the number feeds
-// EXPERIMENTS T10.
+// over a 10k-record journal (decode + CRC per record). Replay is an
+// off-hot-path recovery operation; the number feeds EXPERIMENTS T10.
 func BenchmarkJournalReplay(b *testing.B) {
 	j, err := journal.Open(journal.Config{Dir: b.TempDir()})
 	if err != nil {
@@ -530,7 +529,7 @@ func BenchmarkJournalReplay(b *testing.B) {
 	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
-// BenchmarkCatchUpSeek gates the sparse-index seek on deep-cursor
+// BenchmarkCatchUpSeek measures the sparse-index seek on deep-cursor
 // catch-up: a 50k-record journal spread over many sealed segments, a
 // subscriber 100 records from the tip. The indexed variant seeks to
 // the last index entry at or before the cursor and decodes only the
@@ -578,7 +577,7 @@ func BenchmarkCatchUpSeek(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreReadThrough gates the subscription store's read path
+// BenchmarkStoreReadThrough measures the subscription store's read path
 // under pool pressure: 20k records over a 64-page pool (~3% resident),
 // random Gets. Most reads miss, evict an unpinned page and fault the
 // target page in — pin/unpin, LRU maintenance, CRC verify and the
@@ -621,7 +620,7 @@ func BenchmarkStoreReadThrough(b *testing.B) {
 	}
 }
 
-// BenchmarkDurablePublish gates the durable publish hot path against
+// BenchmarkDurablePublish measures the durable publish hot path against
 // its fire-and-forget twin: one broker, one matching subscription, one
 // in-memory transport; each iteration publishes and waits for the
 // delivery. The durable variant adds the journal append (buffered
@@ -641,7 +640,7 @@ func BenchmarkDurablePublish(b *testing.B) {
 			defer ne.Close()
 			br := broker.New(core.NewEngine(nil), ne)
 			// Tracing off so the measured delta stays the journal cost
-			// alone; the traced publish path has its own gate pair below.
+			// alone; the traced publish path has its own pair below.
 			br.SetTracer(trace.New(trace.Config{Broker: "bench", Sample: -1}))
 			if durable {
 				j, err := journal.Open(journal.Config{Dir: b.TempDir()})
@@ -678,7 +677,7 @@ func BenchmarkDurablePublish(b *testing.B) {
 	}
 }
 
-// BenchmarkPublishTraced / BenchmarkPublishUntraced gate the span
+// BenchmarkPublishTraced / BenchmarkPublishUntraced measure the span
 // recording overhead on the fire-and-forget publish hot path (DESIGN
 // §10): same single-broker setup as BenchmarkDurablePublish, with the
 // tracer either sampling every publication (the default) or disabled
@@ -715,8 +714,8 @@ func benchPublishTrace(b *testing.B, sample int) {
 	}
 }
 
-// BenchmarkKnowledgeApply gates the single-origin adaptation hot path
-// in CI: one in-order synonym delta folded, staged and touch-scanned
+// BenchmarkKnowledgeApply measures the single-origin adaptation hot
+// path: one in-order synonym delta folded, staged and touch-scanned
 // against 10k stored subscriptions (the engine-level counterpart of
 // the per-size study in internal/core's benchmark of the same name).
 func BenchmarkKnowledgeApply(b *testing.B) {

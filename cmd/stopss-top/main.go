@@ -200,6 +200,11 @@ func main() {
 	topN := flag.Int("n", 8, "rows in the hottest-links and laggiest-subscriptions tables")
 	once := flag.Bool("once", false, "print one frame without screen control and exit")
 	flag.Parse()
+	if *topN < 1 || *interval <= 0 {
+		fmt.Fprintln(os.Stderr, "stopss-top: -n must be at least 1 and -interval positive")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	frame := func() error {

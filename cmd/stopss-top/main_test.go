@@ -72,4 +72,11 @@ func TestRenderFrame(t *testing.T) {
 	if !strings.Contains(sb.String(), "subscriptions: http") {
 		t.Fatalf("frame hides the subs error:\n%s", sb.String())
 	}
+
+	// One row, two links: only the deepest queue is listed.
+	sb.Reset()
+	render(&sb, ts.URL, &cv, &sv, nil, 1)
+	if out := sb.String(); !strings.Contains(out, "b1           b2") || strings.Contains(out, "b2           b1") {
+		t.Fatalf("links table at n=1:\n%s", out)
+	}
 }

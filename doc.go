@@ -16,11 +16,12 @@
 //   - internal/notify    — TCP/UDP/SMTP/SMS notification engine (Figure 2)
 //   - internal/webapp    — demonstration web application (Figure 2)
 //   - internal/workload  — workload generator (paper §4)
-//   - internal/bench     — the experiment harness behind EXPERIMENTS.md
 //
 // See README.md for a quickstart, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for the reproduction results. The benchmarks in
-// bench_test.go regenerate the performance tables:
+// EXPERIMENTS.md for the reproduction results. The end-to-end benchmark
+// runs a real stopss-server (benchmark/README.md); the diagnostic
+// benchmarks in bench_test.go regenerate the per-subsystem tables:
 //
-//	go test -bench=. -benchmem
+//	bash benchmark/run.sh
+//	go test -run '^$' -bench=. -benchmem
 package stopss

@@ -188,6 +188,36 @@ func TestDetachedFloorPinsJournal(t *testing.T) {
 	}
 }
 
+// reopenStoreBroker rebuilds a broker over the journal and store files
+// a crashed broker left in dir, as a restart does.
+func reopenStoreBroker(t *testing.T, dir string, pages int) (*Broker, *memTransport) {
+	t.Helper()
+	tr := &memTransport{}
+	nt, err := notify.NewEngine(notify.Config{Workers: 2, MaxRetries: 1, Backoff: time.Millisecond}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := journal.Open(journal.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(store.Config{Path: filepath.Join(dir, "subs.heap"), PageSize: 512, Pages: pages})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		nt.Close()
+		_ = j.Close()
+		_ = st.Close()
+	})
+	b := New(jobsEngine(t), nt)
+	b.AttachJournal(j)
+	if err := b.AttachStore(st); err != nil {
+		t.Fatal(err)
+	}
+	return b, tr
+}
+
 // TestStoreRestartResume is the crash-restart path: detach, checkpoint,
 // "crash" (no close), rebuild broker+journal+store, resume — the
 // subscription and its missed events come back.
@@ -216,27 +246,7 @@ func TestStoreRestartResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No store.Close(): simulate a crash. Reopen everything.
-	tr2 := &memTransport{}
-	nt2, err := notify.NewEngine(notify.Config{Workers: 2, MaxRetries: 1, Backoff: time.Millisecond}, tr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nt2.Close()
-	j2, err := journal.Open(journal.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	st3, err := store.Open(store.Config{Path: storePath, PageSize: 512, Pages: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st3.Close()
-	b2 := New(jobsEngine(t), nt2)
-	b2.AttachJournal(j2)
-	if err := b2.AttachStore(st3); err != nil {
-		t.Fatal(err)
-	}
+	b2, tr2 := reopenStoreBroker(t, dir, 4)
 	if got := b2.Stats().Detached; got != 1 {
 		t.Fatalf("reopened store has %d detached records, want 1", got)
 	}
@@ -317,13 +327,26 @@ func TestSnapshotRestoreMergesStoreCursor(t *testing.T) {
 
 // TestManyDetachedBoundedResidency pages thousands of durable subs out
 // and verifies the broker's resident footprint is the store's page
-// budget, not the subscription count.
+// budget, not the subscription count, before and after a crash-restart.
 func TestManyDetachedBoundedResidency(t *testing.T) {
 	dir := t.TempDir()
 	r := newDurableRig(t, dir)
-	attachTestStore(t, r.b, dir, 8)
+	// Not attachTestStore: the crash below abandons this store unclosed.
+	st, err := store.Open(store.Config{Path: filepath.Join(dir, "subs.heap"), PageSize: 512, Pages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.b.AttachStore(st); err != nil {
+		t.Fatal(err)
+	}
 	if err := r.b.Register(Client{Name: "acme", Route: notify.Route{Transport: "mem", Addr: "acme"}}); err != nil {
 		t.Fatal(err)
+	}
+	checkResidency := func(b *Broker, when string) {
+		t.Helper()
+		if s := b.Stats().Store; s.Resident > s.PoolCapacity {
+			t.Fatalf("%s: store resident %d exceeds pool budget %d", when, s.Resident, s.PoolCapacity)
+		}
 	}
 	const n = 2000
 	for i := 0; i < n; i++ {
@@ -339,23 +362,45 @@ func TestManyDetachedBoundedResidency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := r.b.Stats()
-	if st.Detached != n {
-		t.Fatalf("Detached = %d, want %d", st.Detached, n)
+	st0 := r.b.Stats()
+	if st0.Detached != n {
+		t.Fatalf("Detached = %d, want %d", st0.Detached, n)
 	}
-	if st.Subscriptions != 0 || st.Durable != 0 {
-		t.Fatalf("resident maps not empty: subs=%d durable=%d", st.Subscriptions, st.Durable)
+	if st0.Subscriptions != 0 || st0.Durable != 0 {
+		t.Fatalf("resident maps not empty: subs=%d durable=%d", st0.Subscriptions, st0.Durable)
 	}
-	if st.Store.Resident > st.Store.PoolCapacity {
-		t.Fatalf("store resident %d exceeds pool budget %d", st.Store.Resident, st.Store.PoolCapacity)
-	}
-	if st.Store.Evictions == 0 {
-		t.Fatal("no evictions despite records >> pool budget")
+	checkResidency(r.b, "after churn")
+	if st0.Store.Evictions == 0 || st0.Store.WriteBacks == 0 {
+		t.Fatalf("no evictions or write-backs despite records >> pool budget: %+v", st0.Store)
 	}
 	// Spot-check a few resumes still work under heavy eviction.
-	for _, id := range []int{1, n / 2, n} {
-		if _, err := r.b.ResumeDurable("acme", message.SubID(id)); err != nil {
+	resumed := []message.SubID{1, n / 2, n}
+	for _, id := range resumed {
+		if _, err := r.b.ResumeDurable("acme", id); err != nil {
 			t.Fatalf("resume of sub %d: %v", id, err)
 		}
 	}
+	checkResidency(r.b, "after resumes")
+
+	// Crash-restart: checkpoint, abandon the stack, rebuild from disk.
+	if err := r.b.CheckpointStore(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b2, _ := reopenStoreBroker(t, dir, 8)
+	if got, want := b2.Stats().Detached, n-len(resumed); got != want {
+		t.Fatalf("after restart: %d detached records, want %d", got, want)
+	}
+	checkResidency(b2, "after reopen")
+	if err := b2.Register(Client{Name: "acme", Route: notify.Route{Transport: "mem", Addr: "acme"}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []message.SubID{2, n / 4, n - 1} {
+		if _, err := b2.ResumeDurable("acme", id); err != nil {
+			t.Fatalf("post-restart resume of sub %d: %v", id, err)
+		}
+	}
+	checkResidency(b2, "after post-restart resumes")
 }

@@ -354,7 +354,7 @@ type MatchResult struct {
 	// was matched directly).
 	Expansion semantic.Result
 	// SemanticTime and MatchTime split the publication's latency
-	// between the two pipeline halves (experiment T1).
+	// between the two pipeline halves (BenchmarkPipeline).
 	SemanticTime time.Duration
 	MatchTime    time.Duration
 }

@@ -7,7 +7,9 @@ import (
 
 	"stopss/internal/matching"
 	"stopss/internal/message"
+	"stopss/internal/ontology"
 	"stopss/internal/semantic"
+	"stopss/internal/workload"
 )
 
 // paperStage builds the knowledge base that makes every example in the
@@ -235,6 +237,57 @@ func TestSemanticSupersetOfSyntactic(t *testing.T) {
 	if len(res.Matches) < 2 {
 		t.Errorf("synonym subscriptions should both match: %v", res.Matches)
 	}
+
+	// Recall is monotone across the cumulative stages, per event, on a
+	// generated workload: syntactic ⊆ +synonyms ⊆ +hierarchy ⊆ full.
+	gen, err := workload.New(workload.Config{Seed: 2, SynonymProb: 0.6, ConceptProb: 0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := []struct {
+		name string
+		mode Mode
+		cfg  semantic.Config
+	}{
+		{"syntactic", Syntactic, semantic.SyntacticConfig()},
+		{"+synonyms", Semantic, semantic.Config{Synonyms: true}},
+		{"+hierarchy", Semantic, semantic.Config{Synonyms: true, Hierarchy: true}},
+		{"full", Semantic, semantic.FullConfig()},
+	}
+	engines := make([]*Engine, len(stages))
+	genSubs := gen.Subscriptions(300)
+	for i, st := range stages {
+		engines[i] = NewEngine(gen.KB().Stage(st.cfg), WithMode(st.mode))
+		for _, s := range genSubs {
+			if err := engines[i].Subscribe(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	totals := make([]int, len(stages))
+	for _, ev := range gen.Events(100) {
+		var prev map[message.SubID]bool
+		for i, eng := range engines {
+			res, err := eng.Publish(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			totals[i] += len(res.Matches)
+			cur := make(map[message.SubID]bool, len(res.Matches))
+			for _, id := range res.Matches {
+				cur[id] = true
+			}
+			for id := range prev {
+				if !cur[id] {
+					t.Fatalf("event %v: %s match %d lost at %s", ev, stages[i-1].name, id, stages[i].name)
+				}
+			}
+			prev = cur
+		}
+	}
+	if totals[len(totals)-1] <= totals[0] {
+		t.Errorf("semantic stages added no recall: totals %v", totals)
+	}
 }
 
 func TestSubscribeLifecycleAndErrors(t *testing.T) {
@@ -419,6 +472,62 @@ func TestLossToleranceKnob(t *testing.T) {
 		}
 		if len(res.Matches) != want {
 			t.Errorf("level %d: matches = %d, want %d (%v)", level, len(res.Matches), want, res.Matches)
+		}
+		// Rule R2: the most general event matches only its own
+		// subscription, whatever the bound.
+		res, err = eng.Publish(message.E("x", "l4"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Matches) != 1 || res.Matches[0] != 5 {
+			t.Errorf("level %d: general event matches = %v, want [5] (rule R2)", level, res.Matches)
+		}
+	}
+}
+
+// TestCrossDomainBridge is the multi-domain case of §3.2: on the merged
+// jobs + autos ontology a jobs publication reaches an autos subscription
+// only once a bridge mapping function is installed.
+func TestCrossDomainBridge(t *testing.T) {
+	for _, bridge := range []bool{false, true} {
+		jobs, err := ontology.Load(workload.JobsODL, ontology.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		autos, err := ontology.Load(workload.AutosODL, ontology.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, err := ontology.Merge(jobs, autos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if bridge {
+			want = 1
+			// Developer positions come with a company car; the autos
+			// hierarchy then generalizes car to vehicle.
+			if err := merged.Mappings.Add(semantic.FuncOf{
+				FName:     "bridge.position-to-vehicle",
+				FTriggers: []string{"position"},
+				FApply: func(message.Event) []message.Pair {
+					return []message.Pair{{Attr: "vehicle", Val: message.String("car")}}
+				},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng := NewEngine(merged.Stage(semantic.FullConfig()))
+		if err := eng.Subscribe(message.NewSubscription(1, "dealer",
+			message.Pred("vehicle", message.OpEq, message.String("vehicle")))); err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Publish(message.E("position", "web developer", "school", "Toronto"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Matches) != want {
+			t.Errorf("bridge=%v: matches = %v, want %d", bridge, res.Matches, want)
 		}
 	}
 }

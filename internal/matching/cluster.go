@@ -57,7 +57,7 @@ func (m *Cluster) Name() string { return "cluster" }
 // Size implements Matcher.
 func (m *Cluster) Size() int { return len(m.subs) }
 
-// Clusters reports the number of non-empty clusters (experiment T3
+// Clusters reports the number of non-empty clusters (a matcher-scaling
 // statistic).
 func (m *Cluster) Clusters() int { return len(m.clusters) }
 

@@ -87,7 +87,7 @@ func Algorithms() []string { return []string{"naive", "counting", "cluster", "tr
 
 // Naive is the brute-force matcher: it evaluates every subscription's
 // plan against every event. It is the oracle for the indexed matchers
-// and the lower baseline for experiment T3. Even the oracle benefits
+// and the lower baseline of BenchmarkMatcher. Even the oracle benefits
 // from the optimizer front end: shared plans and pushdown ordering make
 // its full scan an honest lower bound rather than a strawman.
 type Naive struct {

@@ -227,8 +227,8 @@ func (m *Tree) verify(ts *treeSub) bool {
 	return true
 }
 
-// Depth reports the maximum node depth of the tree (statistic for the
-// T3 discussion).
+// Depth reports the maximum node depth of the tree (a matcher-scaling
+// statistic).
 func (m *Tree) Depth() int {
 	var depth func(n *treeNode) int
 	depth = func(n *treeNode) int {

@@ -14,7 +14,7 @@ import (
 // the form "mailbox@host:port"; the host:port part is dialed, the
 // mailbox is the RCPT. Each Send performs one full SMTP session — the
 // protocol makes this transport the slow, reliable end of the spectrum
-// in experiment T8.
+// in BenchmarkNotify.
 type SMTPTransport struct {
 	From        string // envelope sender, default "stopss@localhost"
 	dialTimeout time.Duration

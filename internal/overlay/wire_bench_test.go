@@ -9,7 +9,6 @@ import (
 // BenchmarkWireCodec measures one pub frame through encode + decode
 // with warmed per-link dictionaries — the steady-state per-hop
 // serialization cost the overlay pays on every forwarded publication.
-// Gated in CI on both ns/op and allocs/op.
 func BenchmarkWireCodec(b *testing.B) {
 	ev := message.E("x", 42, "city", "Toronto", "score", 3.25)
 	f := Frame{Type: framePub, Origin: "broker-a", PubID: "broker-a#e1/99",

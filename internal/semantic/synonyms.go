@@ -203,7 +203,7 @@ func (s *Synonyms) String() string {
 }
 
 // LinearSynonyms is a deliberately naive variant that stores groups in a
-// slice and resolves terms by scanning. It exists only for experiment T5
+// slice and resolves terms by scanning. It exists only for BenchmarkSynonyms
 // (the paper's claim that hash structures are "the key aspect of this
 // approach in terms of performance"); production code paths always use
 // Synonyms.

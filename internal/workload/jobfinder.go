@@ -47,10 +47,10 @@ mappings {
 }
 `
 
-// AutosODL is a second, disjoint domain used by the multi-domain
-// experiment (T7) and example. It deliberately contains no reference to
-// the jobs domain: inter-domain bridges are added as extra mapping
-// functions at merge time (paper §3.2), which experiment T7 and
+// AutosODL is a second, disjoint domain used by the multi-domain test
+// and example. It deliberately contains no reference to the jobs
+// domain: inter-domain bridges are added as extra mapping functions at
+// merge time (paper §3.2), which core.TestCrossDomainBridge and
 // examples/multidomain demonstrate.
 const AutosODL = `
 domain autos

@@ -330,7 +330,7 @@ func (g *Generator) Event() message.Event {
 }
 
 // ChainSeed returns an event that triggers mapping chain c from hop 0,
-// for the fixpoint experiments (T6).
+// for the fixpoint benchmark (BenchmarkFixpoint).
 func (g *Generator) ChainSeed(c int) message.Event {
 	return message.E(fmt.Sprintf("chain%d-hop0", c%maxInt(1, g.cfg.MappingChains)), 0)
 }
