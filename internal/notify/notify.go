@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,13 +45,37 @@ type Notification struct {
 	PubID string `json:"pub_id,omitempty"`
 }
 
-// Encode renders the notification as one JSON line (no trailing newline).
+// Encode renders the notification as one JSON line (no trailing
+// newline): the fields in declaration order under their tag names, with
+// the tags' omitempty rules, byte-identical to json.Marshal(n) but
+// appended by hand, without reflection.
 func (n Notification) Encode() ([]byte, error) {
-	b, err := json.Marshal(n)
+	b := append(make([]byte, 0, 256), `{"sub_id":`...)
+	b = strconv.AppendUint(b, uint64(n.SubID), 10)
+	b = append(b, `,"subscriber":`...)
+	b = message.AppendJSONString(b, n.Subscriber)
+	b = append(b, `,"event":`...)
+	b, err := n.Event.AppendJSON(b)
 	if err != nil {
 		return nil, fmt.Errorf("notify: encoding notification: %w", err)
 	}
-	return b, nil
+	if n.Mode != "" {
+		b = append(b, `,"mode":`...)
+		b = message.AppendJSONString(b, n.Mode)
+	}
+	if n.Seq != 0 {
+		b = append(b, `,"seq":`...)
+		b = strconv.AppendUint(b, n.Seq, 10)
+	}
+	if n.JournalSeq != 0 {
+		b = append(b, `,"journal_seq":`...)
+		b = strconv.AppendUint(b, n.JournalSeq, 10)
+	}
+	if n.PubID != "" {
+		b = append(b, `,"pub_id":`...)
+		b = message.AppendJSONString(b, n.PubID)
+	}
+	return append(b, '}'), nil
 }
 
 // DecodeNotification parses one JSON line.
@@ -131,6 +156,15 @@ type job struct {
 	r Route
 }
 
+// transport is a registered Transport with its per-delivery
+// instruments, resolved once in NewEngine so a delivery does no
+// registry lookup.
+type transport struct {
+	Transport
+	lat               *metrics.Histogram // latency.<name>
+	delivered, failed *metrics.Counter   // delivered.<name>, attempts_failed.<name>
+}
+
 // DeliveryHook observes every delivery's final outcome: err is nil on
 // success and the last transport error when retries were exhausted.
 // On failure, returning true claims the notification — it is "parked"
@@ -151,7 +185,7 @@ type Stats struct {
 // Engine is the notification dispatcher of Figure 2.
 type Engine struct {
 	cfg        Config
-	transports map[string]Transport
+	transports map[string]*transport
 	queue      chan job
 	wg         sync.WaitGroup
 	inflight   atomic.Int64
@@ -176,7 +210,7 @@ func NewEngine(cfg Config, transports ...Transport) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	e := &Engine{
 		cfg:        cfg,
-		transports: make(map[string]Transport, len(transports)),
+		transports: make(map[string]*transport, len(transports)),
 		queue:      make(chan job, cfg.QueueSize),
 		routes:     make(map[string]Route),
 		reg:        metrics.NewRegistry(),
@@ -186,13 +220,19 @@ func NewEngine(cfg Config, transports ...Transport) (*Engine, error) {
 	// rather than no series at all.
 	e.enqueued, e.rejected = e.reg.Counter("enqueued"), e.reg.Counter("rejected")
 	for _, tr := range transports {
-		if tr.Name() == "" {
+		name := tr.Name()
+		if name == "" {
 			return nil, fmt.Errorf("notify: transport with empty name")
 		}
-		if _, dup := e.transports[tr.Name()]; dup {
-			return nil, fmt.Errorf("notify: duplicate transport %q", tr.Name())
+		if _, dup := e.transports[name]; dup {
+			return nil, fmt.Errorf("notify: duplicate transport %q", name)
 		}
-		e.transports[tr.Name()] = tr
+		e.transports[name] = &transport{
+			Transport: tr,
+			lat:       e.reg.Histogram("latency." + name),
+			delivered: e.reg.Counter("delivered." + name),
+			failed:    e.reg.Counter("attempts_failed." + name),
+		}
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
@@ -235,19 +275,19 @@ func (e *Engine) RouteOf(subscriber string) (Route, bool) {
 // Dispatch enqueues a notification for the subscriber it names. The
 // call never blocks: a full queue returns ErrQueueFull.
 func (e *Engine) Dispatch(n Notification) error {
+	// The enqueue happens under e.mu, where Close sets closed, so a
+	// Dispatch racing Close never sends on the closed queue.
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
-		e.mu.Unlock()
 		return ErrClosed
 	}
 	r, ok := e.routes[n.Subscriber]
 	if !ok {
-		e.mu.Unlock()
 		return fmt.Errorf("notify: no route for subscriber %q", n.Subscriber)
 	}
 	e.seq++
 	n.Seq = e.seq
-	e.mu.Unlock()
 
 	// inflight counts accepted-but-not-yet-delivered notifications
 	// (queued or executing), so Drain has no dequeue/track gap.
@@ -273,7 +313,6 @@ func (e *Engine) worker() {
 
 func (e *Engine) deliver(j job) {
 	tr := e.transports[j.r.Transport]
-	lat := e.reg.Histogram("latency." + j.r.Transport)
 	e.mu.Lock()
 	hook := e.hook
 	e.mu.Unlock()
@@ -285,8 +324,8 @@ func (e *Engine) deliver(j job) {
 		t0 := time.Now()
 		err = tr.Send(j.r.Addr, j.n)
 		if err == nil {
-			lat.Observe(time.Since(t0))
-			e.reg.Counter("delivered." + j.r.Transport).Inc()
+			tr.lat.Observe(time.Since(t0))
+			tr.delivered.Inc()
 			e.delivered.Add(1)
 			if attempt > 0 {
 				e.reg.Counter("recovered").Add(uint64(attempt))
@@ -297,7 +336,7 @@ func (e *Engine) deliver(j job) {
 			}
 			return
 		}
-		e.reg.Counter("attempts_failed." + j.r.Transport).Inc()
+		tr.failed.Inc()
 		if attempt < e.cfg.MaxRetries {
 			time.Sleep(backoff)
 			backoff *= 2

@@ -348,9 +348,11 @@ func TestEngineRetriesAndRecovers(t *testing.T) {
 	if len(eng.DeadLetters()) != 0 {
 		t.Errorf("dead letters = %v", eng.DeadLetters())
 	}
-	rep := eng.Metrics().Report()
-	if !strings.Contains(rep, "attempts_failed.sms") {
-		t.Errorf("metrics missing failure counter:\n%s", rep)
+	reg := eng.Metrics()
+	if d, f, l := reg.Counter("delivered.sms").Value(), reg.Counter("attempts_failed.sms").Value(),
+		reg.Histogram("latency.sms").Snapshot().Count; d != 1 || f != 2 || l != 1 {
+		t.Errorf("delivered.sms %d, attempts_failed.sms %d, latency.sms count %d; want 1, 2, 1\n%s",
+			d, f, l, reg.Report())
 	}
 }
 
@@ -590,5 +592,79 @@ func TestDeliveryHookAcksAndParks(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Parked != 1 {
 		t.Errorf("stats = %+v, want Parked 1", st)
+	}
+}
+
+// TestDispatchRacingClose is the regression test for Dispatch sending
+// on the queue Close had already closed. The race detector reports that
+// send within the first iterations; without it the panic is rarer.
+func TestDispatchRacingClose(t *testing.T) {
+	iters := 2000
+	if testing.Short() {
+		iters = 200
+	}
+	for i := 0; i < iters; i++ {
+		eng, err := NewEngine(Config{Workers: 1}, NewSMSGateway(0, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.SetRoute("s", Route{Transport: "sms", Addr: "a"}); err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for k := 0; k < 20; k++ {
+					err := eng.Dispatch(Notification{Subscriber: "s"})
+					if err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrQueueFull) {
+						t.Error(err)
+					}
+				}
+			}()
+		}
+		close(start)
+		eng.Close()
+		wg.Wait()
+	}
+}
+
+// BenchmarkNotifyFanout delivers one publication's fan-out — 28
+// notifications of one event — to one TCP sink per iteration and waits
+// for all of them; allocs/op covers encoding, the write and the sink's
+// decoding.
+func BenchmarkNotifyFanout(b *testing.B) {
+	const fanout = 28
+	got := make(chan struct{}, fanout)
+	sink, err := NewTCPSink("127.0.0.1:0", func(Notification) { got <- struct{}{} })
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sink.Close()
+	eng, err := NewEngine(Config{Workers: 8}, NewTCPTransport(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.SetRoute("recruiter", Route{Transport: "tcp", Addr: sink.Addr()}); err != nil {
+		b.Fatal(err)
+	}
+	n := Notification{Subscriber: "recruiter", Mode: "semantic", PubID: "b1#6715f7dc/2",
+		Event: message.E("school", "Toronto", "degree", "PhD", "graduation year", 1990,
+			"professional experience", 5, "skills", "databases & <distributed> systems")}
+	b.ReportAllocs()
+	for b.Loop() {
+		for i := 0; i < fanout; i++ {
+			n.SubID = message.SubID(i + 1)
+			if err := eng.Dispatch(n); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := 0; i < fanout; i++ {
+			<-got
+		}
 	}
 }
