@@ -2,6 +2,7 @@ package broker
 
 import (
 	"fmt"
+	"sort"
 
 	"stopss/internal/matching"
 	"stopss/internal/message"
@@ -9,9 +10,9 @@ import (
 
 // Advertisement support: publishers may declare their event space; the
 // broker then (a) rejects publications that leave the advertised space
-// and (b) can report which subscriptions a publisher could ever match —
-// the routing information a distributed deployment would ship to peer
-// brokers.
+// and (b) can report which subscriptions a publisher could ever match.
+// Advertisements are broker-local: the overlay routes subscriptions
+// only, so an advertisement never leaves the broker it was made at.
 
 // Advertise records (or replaces) the advertisement of a registered
 // client.
@@ -30,11 +31,7 @@ func (b *Broker) Advertise(client string, preds []message.Predicate) error {
 		b.adverts = make(map[string]matching.Advertisement)
 	}
 	b.adverts[client] = a
-	f := b.forwarder
 	b.mu.Unlock()
-	if f != nil {
-		f.AdvertisementChanged(a, true)
-	}
 	return nil
 }
 
@@ -42,13 +39,21 @@ func (b *Broker) Advertise(client string, preds []message.Predicate) error {
 // from it are unconstrained again.
 func (b *Broker) Unadvertise(client string) {
 	b.mu.Lock()
-	a, had := b.adverts[client]
 	delete(b.adverts, client)
-	f := b.forwarder
 	b.mu.Unlock()
-	if f != nil && had {
-		f.AdvertisementChanged(a, false)
+}
+
+// Advertisements returns every live local advertisement, sorted by
+// publisher, for snapshots.
+func (b *Broker) Advertisements() []matching.Advertisement {
+	b.mu.Lock()
+	out := make([]matching.Advertisement, 0, len(b.adverts))
+	for _, a := range b.adverts {
+		out = append(out, a)
 	}
+	b.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Publisher < out[j].Publisher })
+	return out
 }
 
 // AdvertisementOf returns the client's advertisement.

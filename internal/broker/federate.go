@@ -5,14 +5,13 @@ import (
 
 	"stopss/internal/core"
 	"stopss/internal/knowledge"
-	"stopss/internal/matching"
 	"stopss/internal/message"
 )
 
 // Federation hooks: a broker participating in a multi-broker overlay
 // (internal/overlay) needs three things from the dispatcher — to hear
-// about local subscription/advertisement changes and accepted
-// publications (so they can be routed to peers), to accept publications
+// about local subscription changes, accepted publications and knowledge
+// deltas (so they can be routed to peers), to accept publications
 // arriving from peers without bouncing them back out (DeliverRemote in
 // broker.go), and to fold the overlay's routing counters into Stats.
 
@@ -32,9 +31,6 @@ type Forwarder interface {
 	// identity carried on pub frames. Publications injected by
 	// DeliverRemote are not reported.
 	PublicationAccepted(ev message.Event, pubID string)
-	// AdvertisementChanged reports a local advertisement being recorded
-	// (added=true) or withdrawn.
-	AdvertisementChanged(adv matching.Advertisement, added bool)
 	// KnowledgeChanged reports a locally injected knowledge delta that
 	// was newly applied to the broker's knowledge base (duplicates are
 	// not reported; deterministically rejected deltas ARE — peers need
@@ -60,11 +56,10 @@ type RemoteStats struct {
 	Peers         int    // connected peer links
 	SubsForwarded uint64 // subscriptions sent to peers
 	SubsPruned    uint64 // subscriptions suppressed by a covering sub
-	SubsReissued  uint64 // suppressed subs re-advertised after un-covering
+	SubsReissued  uint64 // suppressed subs re-forwarded after un-covering
 	PubsForwarded uint64 // publications sent along matching links
 	PubsReceived  uint64 // publications accepted from peers
 	PubsDeduped   uint64 // duplicate publications dropped
-	AdvertsSeen   uint64 // remote advertisements currently held
 	RemoteSubs    int    // remote subscriptions currently routed
 	KBForwarded   uint64 // knowledge deltas sent to peers
 	KBReceived    uint64 // knowledge deltas accepted from peers
@@ -96,18 +91,5 @@ func (b *Broker) Subscriptions() []message.Subscription {
 			out = append(out, s)
 		}
 	}
-	return out
-}
-
-// Advertisements returns every live local advertisement, sorted by
-// publisher; the overlay floods them to new peer links.
-func (b *Broker) Advertisements() []matching.Advertisement {
-	b.mu.Lock()
-	out := make([]matching.Advertisement, 0, len(b.adverts))
-	for _, a := range b.adverts {
-		out = append(out, a)
-	}
-	b.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Publisher < out[j].Publisher })
 	return out
 }

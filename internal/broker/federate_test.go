@@ -7,7 +7,6 @@ import (
 
 	"stopss/internal/core"
 	"stopss/internal/knowledge"
-	"stopss/internal/matching"
 	"stopss/internal/message"
 )
 
@@ -19,8 +18,6 @@ type recordingForwarder struct {
 	subAdds []bool
 	pubs    []message.Event
 	pubIDs  []string
-	advs    []matching.Advertisement
-	advAdds []bool
 	kbs     []knowledge.Delta
 }
 
@@ -36,13 +33,6 @@ func (f *recordingForwarder) PublicationAccepted(ev message.Event, pubID string)
 	defer f.mu.Unlock()
 	f.pubs = append(f.pubs, ev)
 	f.pubIDs = append(f.pubIDs, pubID)
-}
-
-func (f *recordingForwarder) AdvertisementChanged(adv matching.Advertisement, added bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.advs = append(f.advs, adv)
-	f.advAdds = append(f.advAdds, added)
 }
 
 func (f *recordingForwarder) KnowledgeChanged(d knowledge.Delta, _ core.KnowledgeReport) {
@@ -130,33 +120,6 @@ func TestForwarderPublications(t *testing.T) {
 	}
 }
 
-func TestForwarderAdvertisements(t *testing.T) {
-	b, f := fedBroker(t)
-	preds := []message.Predicate{message.Pred("x", message.OpGe, message.Int(0))}
-	if err := b.Advertise("alice", preds); err != nil {
-		t.Fatal(err)
-	}
-	if len(f.advs) != 1 || !f.advAdds[0] || f.advs[0].Publisher != "alice" {
-		t.Fatalf("advertise callbacks %v (adds %v), want one add for alice", f.advs, f.advAdds)
-	}
-	b.Unadvertise("alice")
-	if len(f.advs) != 2 || f.advAdds[1] {
-		t.Fatalf("unadvertise callbacks %v (adds %v), want removal as second", f.advs, f.advAdds)
-	}
-	// Unadvertising a client without an advertisement is a no-op.
-	b.Unadvertise("alice")
-	if len(f.advs) != 2 {
-		t.Fatalf("no-op unadvertise fired the forwarder (%d callbacks)", len(f.advs))
-	}
-	// A rejected advertisement (unknown client) must not fire the hook.
-	if err := b.Advertise("nobody", preds); err == nil {
-		t.Fatal("advertising an unknown client must fail")
-	}
-	if len(f.advs) != 2 {
-		t.Fatalf("failed advertise fired the forwarder (%d callbacks)", len(f.advs))
-	}
-}
-
 func TestForwarderDetach(t *testing.T) {
 	b, f := fedBroker(t)
 	b.SetForwarder(nil)
@@ -166,10 +129,7 @@ func TestForwarderDetach(t *testing.T) {
 	if _, err := b.Publish(message.E("x", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Advertise("alice", []message.Predicate{message.Exists("x")}); err != nil {
-		t.Fatal(err)
-	}
-	if len(f.subs)+len(f.pubs)+len(f.advs) != 0 {
+	if len(f.subs)+len(f.pubs) != 0 {
 		t.Fatal("detached forwarder still received callbacks")
 	}
 }

@@ -128,7 +128,7 @@ func (t *coverTable) size() (int, int) {
 // delta may have changed how raw subscriptions canonicalize) and
 // repairs the covering invariant: suppressed entries no longer covered
 // by any forwarded entry are promoted and returned so the caller can
-// forward them now — without this, a subscription quenched under the
+// forward them now — without this, a subscription suppressed under the
 // old knowledge could remain unknown to a peer that now needs it.
 // Previously forwarded entries stay forwarded even if the new
 // knowledge would cover them: the peer holding extra routing state is

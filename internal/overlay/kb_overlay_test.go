@@ -13,7 +13,7 @@ import (
 
 // newKBTestBroker is newTestBroker with a runtime knowledge base bound
 // and a stamping origin named after the node.
-func newKBTestBroker(t *testing.T, name string, quench bool) *testBroker {
+func newKBTestBroker(t *testing.T, name string) *testBroker {
 	t.Helper()
 	ch := make(chan notify.Notification, 256)
 	nt, err := notify.NewEngine(notify.Config{Workers: 2}, &chanTransport{ch: ch})
@@ -23,7 +23,7 @@ func newKBTestBroker(t *testing.T, name string, quench bool) *testBroker {
 	base := knowledge.NewBase(nil, nil, nil)
 	b := broker.New(core.NewEngine(base.Stage(semantic.FullConfig()), core.WithKnowledge(base)), nt)
 	b.SetKnowledgeOrigin(knowledge.NewOrigin(name))
-	node, err := NewNode(Config{Name: name, Listen: "127.0.0.1:0", Quench: quench}, b)
+	node, err := NewNode(Config{Name: name, Listen: "127.0.0.1:0"}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +46,8 @@ func kbDeltas(tb *testBroker) int    { return tb.b.KnowledgeVersion().Deltas }
 // new term on every broker; and a broker that joins AFTER the delta
 // catches up through the link-sync replay of the knowledge log.
 func TestKnowledgeFloodAndLateJoin(t *testing.T) {
-	a := newKBTestBroker(t, "A", false)
-	b := newKBTestBroker(t, "B", false)
+	a := newKBTestBroker(t, "A")
+	b := newKBTestBroker(t, "B")
 
 	// Pre-knowledge subscription at A, written in the synonym term.
 	subID := a.subscribe(t, "alice", message.Pred("job", message.OpEq, message.String("dev")))
@@ -79,7 +79,7 @@ func TestKnowledgeFloodAndLateJoin(t *testing.T) {
 	expectSilence(t, a.ch)
 
 	// Late joiner: C connects after the delta and converges via sync.
-	c := newKBTestBroker(t, "C", false)
+	c := newKBTestBroker(t, "C")
 	if err := c.node.Dial(b.node.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +115,9 @@ func TestKnowledgeFloodAndLateJoin(t *testing.T) {
 // dropping the frame on the application error would sever the flood
 // and permanently diverge the federation behind it.
 func TestKnowledgeTransitsUnboundBroker(t *testing.T) {
-	a := newKBTestBroker(t, "A", false)
-	b := newTestBroker(t, "B", false) // engine without core.WithKnowledge
-	c := newKBTestBroker(t, "C", false)
+	a := newKBTestBroker(t, "A")
+	b := newTestBroker(t, "B") // engine without core.WithKnowledge
+	c := newKBTestBroker(t, "C")
 	if err := b.node.Dial(a.node.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -133,119 +133,6 @@ func TestKnowledgeTransitsUnboundBroker(t *testing.T) {
 	waitFor(t, "delta transits B to C", func() bool {
 		return kbDeltas(c) == 1 && kbDigest(c) == kbDigest(a)
 	})
-}
-
-// TestKnowledgeUnquenchesSubscriptions: with quenching on, a
-// subscription whose canonical form overlaps no advertised space is
-// recorded in neither the cover table nor the suppressed set, so the
-// ordinary re-canonicalization pass never sees it. A knowledge delta
-// that creates the overlap must re-offer it to the link, or it stays
-// unrouted until the client resubscribes.
-func TestKnowledgeUnquenchesSubscriptions(t *testing.T) {
-	a := newKBTestBroker(t, "A", false)
-	b := newKBTestBroker(t, "B", true) // B quenches its outgoing subscriptions
-	if err := b.node.Dial(a.node.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "link up", func() bool { return len(a.node.Peers()) == 1 })
-
-	// A publisher at A advertises the canonical term.
-	if err := a.b.Register(broker.Client{Name: "px"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.b.Advertise("px", []message.Predicate{
-		message.Pred("position", message.OpEq, message.String("dev")),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "advertisement at B", func() bool {
-		return b.b.Stats().Remote.AdvertsSeen == 1
-	})
-
-	// "job" is unknown, so the subscription's canonical form overlaps
-	// no advertised space: quenched at B, never recorded at A.
-	subID := b.subscribe(t, "bob", message.Pred("job", message.OpEq, message.String("dev")))
-	waitFor(t, "sub quenched at B", func() bool {
-		return b.b.Stats().Remote.SubsPruned >= 1
-	})
-	if nodeHasInterest(a.node, "B", subID) {
-		t.Fatal("quenched subscription reached A")
-	}
-
-	// The synonym delta makes the canonical form (position = dev)
-	// overlap A's advertisement; the re-offer pass must forward it.
-	rep, err := b.b.InjectKnowledge(knowledge.Delta{
-		Op: knowledge.OpAddSynonym, Root: "position", Terms: []string{"job"}})
-	if err != nil || !rep.Applied {
-		t.Fatalf("inject at B: %+v, %v", rep, err)
-	}
-	waitFor(t, "unquenched sub at A", func() bool {
-		return nodeHasInterest(a.node, "B", subID)
-	})
-
-	// End to end: an advertised publication at A now reaches bob at B.
-	if _, err := a.b.PublishFrom("px", message.E("position", "dev")); err != nil {
-		t.Fatal(err)
-	}
-	n := expectNotification(t, b.ch, "bob")
-	if v, _ := n.Event.Get("position"); v.Str() != "dev" {
-		t.Fatalf("bob received %v", n.Event)
-	}
-}
-
-// TestKnowledgeCanonicalizesAdverts mirrors the test above on the
-// advertisement side: quench overlap must compare canonical forms of
-// BOTH the advertisement and the subscription, so an advert phrased in
-// a synonym term un-quenches a subscription phrased in the root term
-// once the knowledge links them.
-func TestKnowledgeCanonicalizesAdverts(t *testing.T) {
-	a := newKBTestBroker(t, "A", false)
-	b := newKBTestBroker(t, "B", true)
-	if err := b.node.Dial(a.node.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "link up", func() bool { return len(a.node.Peers()) == 1 })
-
-	// The advertisement uses the SYNONYM term…
-	if err := a.b.Register(broker.Client{Name: "px"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.b.Advertise("px", []message.Predicate{
-		message.Pred("job", message.OpEq, message.String("dev")),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "advertisement at B", func() bool {
-		return b.b.Stats().Remote.AdvertsSeen == 1
-	})
-
-	// …and the subscription the ROOT term: disjoint until the delta.
-	subID := b.subscribe(t, "bob", message.Pred("position", message.OpEq, message.String("dev")))
-	waitFor(t, "sub quenched at B", func() bool {
-		return b.b.Stats().Remote.SubsPruned >= 1
-	})
-	if nodeHasInterest(a.node, "B", subID) {
-		t.Fatal("quenched subscription reached A")
-	}
-
-	rep, err := b.b.InjectKnowledge(knowledge.Delta{
-		Op: knowledge.OpAddSynonym, Root: "position", Terms: []string{"job"}})
-	if err != nil || !rep.Applied {
-		t.Fatalf("inject at B: %+v, %v", rep, err)
-	}
-	waitFor(t, "unquenched sub at A", func() bool {
-		return nodeHasInterest(a.node, "B", subID)
-	})
-
-	// The advertised publication, phrased in the synonym term, reaches
-	// the root-term subscriber across the link.
-	if _, err := a.b.PublishFrom("px", message.E("job", "dev")); err != nil {
-		t.Fatal(err)
-	}
-	n := expectNotification(t, b.ch, "bob")
-	if v, _ := n.Event.Get("job"); v.Str() != "dev" {
-		t.Fatalf("bob received %v", n.Event)
-	}
 }
 
 // TestCoverTableRecanonicalize exercises the covering repair directly:

@@ -11,30 +11,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"stopss/internal/matching"
 	"stopss/internal/message"
 	"stopss/internal/metrics"
 )
-
-// advID identifies a routed advertisement overlay-wide (publisher names
-// are broker-local, like SubIDs).
-type advID struct {
-	Origin string
-	Client string
-}
-
-// advEntry is one routed advertisement together with the broker path it
-// travelled (origin first, this node excluded) — preserved so state
-// sync onto new links replays the real path and loop prevention keeps
-// working for advertisements. canon is the advertisement under the
-// local canonicalization (quench overlap must compare canonical forms
-// on BOTH sides, like the broker-level check does); it is recomputed
-// after every knowledge change.
-type advEntry struct {
-	adv   matching.Advertisement
-	canon matching.Advertisement
-	hops  []string
-}
 
 // Errors returned by link.send.
 var (
@@ -49,7 +28,7 @@ var (
 const outqCap = 1024
 
 // link is one established peer connection. Routing state attached to
-// the link (interests, adverts, the outbound cover table) is guarded by
+// the link (interests, the outbound cover table) is guarded by
 // the owning Node's mutex; conn writes happen on a dedicated writer
 // goroutine fed by a bounded queue, so callers never block on the
 // network.
@@ -105,11 +84,7 @@ type link struct {
 	// downstream demand reachable through the peer. Publications are
 	// forwarded along the link only when one of these matches.
 	interests map[routeID]routeEntry
-	// adverts holds advertisements received from this link — the event
-	// spaces of publishers reachable through the peer (used by
-	// quenching).
-	adverts map[advID]advEntry
-	// out tracks what this node has advertised to the peer, with
+	// out tracks what this node has forwarded to the peer, with
 	// covering-based suppression.
 	out *coverTable
 }
@@ -131,7 +106,6 @@ func newLink(conn Conn, localName string) (*link, error) {
 		outq:      make(chan outFrame, outqCap),
 		done:      make(chan struct{}),
 		interests: make(map[routeID]routeEntry),
-		adverts:   make(map[advID]advEntry),
 		out:       newCoverTable(),
 	}
 	fail := func(err error) (*link, error) {

@@ -26,8 +26,8 @@ import (
 // forever. The writer must instead drop that one frame (counted in
 // overlay.frames_oversized) and keep the link carrying everything else.
 func TestOversizedFrameDropsFrameNotLink(t *testing.T) {
-	a := newTestBroker(t, "A", false)
-	b := newTestBroker(t, "B", false)
+	a := newTestBroker(t, "A")
+	b := newTestBroker(t, "B")
 	if err := b.node.Dial(a.node.Addr()); err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"stopss/internal/broker"
 	"stopss/internal/core"
 	"stopss/internal/knowledge"
-	"stopss/internal/matching"
 	"stopss/internal/message"
 	"stopss/internal/metrics"
 	"stopss/internal/trace"
@@ -29,12 +28,6 @@ type Config struct {
 	// Simulation harnesses (internal/sim) inject in-process transports
 	// here to run large topologies and fault scenarios deterministically.
 	Transport Transport
-	// Quench enables advertisement-based subscription pruning: a
-	// subscription is forwarded on a link only when the link has no
-	// recorded advertisements (mixed deployment) or one of them
-	// overlaps the subscription. Sound only when every publisher in the
-	// overlay advertises.
-	Quench bool
 	// Registry receives the overlay counters; nil allocates a private
 	// one (see Node.Registry).
 	Registry *metrics.Registry
@@ -95,13 +88,12 @@ type Node struct {
 	// and records the span chain tracing each publication's journey.
 	trc *trace.Tracer
 
-	subsForwarded, subsPruned, subsQuenched, subsReissued *metrics.Counter
-	pubsForwarded, pubsReceived, pubsDeduped              *metrics.Counter
-	advertsForwarded                                      *metrics.Counter
-	kbForwarded, kbReceived, kbDeduped                    *metrics.Counter
-	opsForwarded, opsReceived                             *metrics.Counter
-	framesOversized                                       *metrics.Counter
-	kbDeltas                                              *metrics.Gauge
+	subsForwarded, subsPruned, subsReissued  *metrics.Counter
+	pubsForwarded, pubsReceived, pubsDeduped *metrics.Counter
+	kbForwarded, kbReceived, kbDeduped       *metrics.Counter
+	opsForwarded, opsReceived                *metrics.Counter
+	framesOversized                          *metrics.Counter
+	kbDeltas                                 *metrics.Gauge
 }
 
 // seenCap bounds the duplicate-suppression window.
@@ -135,21 +127,19 @@ func NewNode(cfg Config, b *broker.Broker) (*Node, error) {
 		opsView:   make(map[string]*opsEntry),
 		opsStop:   make(chan struct{}),
 
-		subsForwarded:    reg.Counter("overlay.subs_forwarded"),
-		subsPruned:       reg.Counter("overlay.subs_pruned"),
-		subsQuenched:     reg.Counter("overlay.subs_quenched"),
-		subsReissued:     reg.Counter("overlay.subs_reissued"),
-		pubsForwarded:    reg.Counter("overlay.pubs_forwarded"),
-		pubsReceived:     reg.Counter("overlay.pubs_received"),
-		pubsDeduped:      reg.Counter("overlay.pubs_deduped"),
-		advertsForwarded: reg.Counter("overlay.adverts_forwarded"),
-		kbForwarded:      reg.Counter("overlay.kb_forwarded"),
-		kbReceived:       reg.Counter("overlay.kb_received"),
-		kbDeduped:        reg.Counter("overlay.kb_deduped"),
-		opsForwarded:     reg.Counter("overlay.ops_forwarded"),
-		opsReceived:      reg.Counter("overlay.ops_received"),
-		framesOversized:  reg.Counter("overlay.frames_oversized"),
-		kbDeltas:         reg.Gauge("overlay.kb_deltas"),
+		subsForwarded:   reg.Counter("overlay.subs_forwarded"),
+		subsPruned:      reg.Counter("overlay.subs_pruned"),
+		subsReissued:    reg.Counter("overlay.subs_reissued"),
+		pubsForwarded:   reg.Counter("overlay.pubs_forwarded"),
+		pubsReceived:    reg.Counter("overlay.pubs_received"),
+		pubsDeduped:     reg.Counter("overlay.pubs_deduped"),
+		kbForwarded:     reg.Counter("overlay.kb_forwarded"),
+		kbReceived:      reg.Counter("overlay.kb_received"),
+		kbDeduped:       reg.Counter("overlay.kb_deduped"),
+		opsForwarded:    reg.Counter("overlay.ops_forwarded"),
+		opsReceived:     reg.Counter("overlay.ops_received"),
+		framesOversized: reg.Counter("overlay.frames_oversized"),
+		kbDeltas:        reg.Gauge("overlay.kb_deltas"),
 	}
 	// The node owns the broker's tracer: publication IDs must carry the
 	// node's overlay name (peers dedup and trace by them), and the
@@ -289,12 +279,12 @@ func (n *Node) attach(conn Conn) error {
 	return nil
 }
 
-// syncLink pushes every known subscription, advertisement and applied
-// knowledge delta to a fresh link: local broker state plus entries
-// learned from other links. The knowledge-log replay is what lets a
-// healed partition or a restarted broker catch up — receivers fold the
-// deltas through ordinary duplicate-suppressed application, so replay
-// is idempotent. Callers hold n.mu.
+// syncLink pushes every known subscription and applied knowledge delta
+// to a fresh link: local broker state plus entries learned from other
+// links. The knowledge-log replay is what lets a healed partition or a
+// restarted broker catch up — receivers fold the deltas through
+// ordinary duplicate-suppressed application, so replay is idempotent.
+// Callers hold n.mu.
 func (n *Node) syncLink(l *link) {
 	for _, d := range n.b.KnowledgeLog() {
 		d := d
@@ -308,15 +298,11 @@ func (n *Node) syncLink(l *link) {
 	}
 	// Detached durable subscriptions are paged out of the engine but
 	// their delivery obligation survives (DESIGN §11): after a broker
-	// restart the link re-sync must re-advertise them too, or remote
+	// restart the link re-sync must re-forward them too, or remote
 	// publications stop flowing here until the subscriber resumes.
 	for _, sub := range n.b.DetachedSubscriptions() {
 		rid := routeID{Origin: n.cfg.Name, ID: sub.ID}
 		n.offerSub(l, rid, routeEntry{raw: sub, canon: n.canonicalize(sub), hops: []string{n.cfg.Name}})
-	}
-	for _, adv := range n.b.Advertisements() {
-		aid := advID{Origin: n.cfg.Name, Client: adv.Publisher}
-		n.sendAdv(l, aid, adv, []string{n.cfg.Name})
 	}
 	for _, other := range n.links {
 		if other == l {
@@ -328,13 +314,6 @@ func (n *Node) syncLink(l *link) {
 				continue
 			}
 			n.offerSub(l, rid, fwd)
-		}
-		for aid, ae := range other.adverts {
-			hops := appendHop(ae.hops, n.cfg.Name)
-			if visited(hops, l.peer) {
-				continue
-			}
-			n.sendAdv(l, aid, ae.adv, hops)
 		}
 	}
 	n.syncOps(l)
@@ -487,12 +466,12 @@ func (n *Node) KnowledgeChanged(d knowledge.Delta, rep core.KnowledgeReport) {
 
 // affectedTerms returns the changed-canonical-term set of an applied
 // delta, or nil when routing state cannot have changed: subscriptions
-// and advertisements pass only the synonym stage, and the base reports
-// exactly the terms whose canonical form changed — even across a
-// suffix refold, where the old and new synonym tables are diffed. So
-// concept/is-a/mapping deltas (empty set) never trigger the
-// O(links × subscriptions) requench sweep, and synonym deltas
-// re-canonicalize only entries mentioning one of the changed terms.
+// pass only the synonym stage, and the base reports exactly the terms
+// whose canonical form changed — even across a suffix refold, where the
+// old and new synonym tables are diffed. So concept/is-a/mapping deltas
+// (empty set) never trigger the O(links × subscriptions) reindexing
+// sweep, and synonym deltas re-canonicalize only entries mentioning one
+// of the changed terms.
 func affectedTerms(rep core.KnowledgeReport) map[string]bool {
 	if !rep.Changed || len(rep.Affected) == 0 {
 		return nil
@@ -502,22 +481,6 @@ func affectedTerms(rep core.KnowledgeReport) map[string]bool {
 		set[t] = true
 	}
 	return set
-}
-
-// AdvertisementChanged implements broker.Forwarder for local
-// advertisements.
-func (n *Node) AdvertisementChanged(adv matching.Advertisement, added bool) {
-	aid := advID{Origin: n.cfg.Name, Client: adv.Publisher}
-	hops := []string{n.cfg.Name}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, l := range n.links {
-		if added {
-			n.sendAdv(l, aid, adv, hops)
-		} else {
-			l.send(Frame{Type: frameUnadv, Origin: aid.Origin, Client: aid.Client, Hops: hops})
-		}
-	}
 }
 
 // --- frame handling ---
@@ -549,48 +512,6 @@ func (n *Node) handleFrame(l *link, f Frame) {
 		n.mu.Lock()
 		delete(l.interests, rid)
 		n.withdrawSub(rid, appendHop(f.Hops, n.cfg.Name), l)
-		n.mu.Unlock()
-
-	case frameAdv:
-		if f.Origin == "" || f.Origin == n.cfg.Name || f.Client == "" || visited(f.Hops, n.cfg.Name) {
-			return
-		}
-		aid := advID{Origin: f.Origin, Client: f.Client}
-		adv := matching.NewAdvertisement(f.Client, f.Preds...)
-		n.mu.Lock()
-		if _, known := l.adverts[aid]; !known {
-			l.adverts[aid] = advEntry{adv: adv, canon: n.canonicalizeAdv(adv), hops: f.Hops}
-			hops := appendHop(f.Hops, n.cfg.Name)
-			for _, other := range n.links {
-				if other == l || visited(hops, other.peer) {
-					continue
-				}
-				n.sendAdv(other, aid, adv, hops)
-			}
-			if n.cfg.Quench {
-				// A new advertised space may unlock previously quenched
-				// subscriptions toward this link.
-				n.requench(l)
-			}
-		}
-		n.mu.Unlock()
-
-	case frameUnadv:
-		if f.Origin == "" || f.Origin == n.cfg.Name || visited(f.Hops, n.cfg.Name) {
-			return
-		}
-		aid := advID{Origin: f.Origin, Client: f.Client}
-		n.mu.Lock()
-		if _, known := l.adverts[aid]; known {
-			delete(l.adverts, aid)
-			hops := appendHop(f.Hops, n.cfg.Name)
-			for _, other := range n.links {
-				if other == l || visited(hops, other.peer) {
-					continue
-				}
-				other.send(Frame{Type: frameUnadv, Origin: aid.Origin, Client: aid.Client, Hops: hops})
-			}
-		}
 		n.mu.Unlock()
 
 	case frameKB:
@@ -718,26 +639,9 @@ func (n *Node) sendTraceReport(pubID, peer string, spans []trace.Span) {
 
 // --- routing helpers (callers hold n.mu) ---
 
-// offerSub runs one subscription through quenching and the link's cover
-// table and sends it when it survives both.
+// offerSub runs one subscription through the link's cover table and
+// sends it when the table does not prune it.
 func (n *Node) offerSub(l *link, rid routeID, e routeEntry) {
-	if n.cfg.Quench && len(l.adverts) > 0 {
-		overlapping := false
-		for _, ae := range l.adverts {
-			// Canonical forms on both sides: an advertisement phrased
-			// in a synonym term must still overlap a subscription
-			// phrased in the root term (mirrors the broker-level
-			// check in Broker.OverlappingSubscriptions).
-			if matching.Overlaps(ae.canon, e.canon) {
-				overlapping = true
-				break
-			}
-		}
-		if !overlapping {
-			n.subsQuenched.Inc()
-			return
-		}
-	}
 	if !l.out.add(rid, e) {
 		n.subsPruned.Inc()
 		return
@@ -751,7 +655,7 @@ func (n *Node) offerSub(l *link, rid routeID, e routeEntry) {
 
 // withdrawSub removes rid from every link's cover table (except from,
 // the link the withdrawal arrived on), sending unsubs for entries the
-// peers had seen and re-advertising entries the removal uncovered.
+// peers had seen and re-forwarding entries the removal uncovered.
 func (n *Node) withdrawSub(rid routeID, hops []string, from *link) {
 	for _, l := range n.links {
 		if l == from || visited(hops, l.peer) {
@@ -767,32 +671,6 @@ func (n *Node) withdrawSub(rid routeID, hops []string, from *link) {
 				continue
 			}
 			n.subsReissued.Inc()
-		}
-	}
-}
-
-// requench re-offers every known subscription to l; the cover table
-// drops duplicates, so only entries previously quenched (never offered)
-// go out.
-func (n *Node) requench(l *link) {
-	for _, sub := range n.b.Subscriptions() {
-		rid := routeID{Origin: n.cfg.Name, ID: sub.ID}
-		n.offerSub(l, rid, routeEntry{raw: sub, canon: n.canonicalize(sub), hops: []string{n.cfg.Name}})
-	}
-	for _, sub := range n.b.DetachedSubscriptions() {
-		rid := routeID{Origin: n.cfg.Name, ID: sub.ID}
-		n.offerSub(l, rid, routeEntry{raw: sub, canon: n.canonicalize(sub), hops: []string{n.cfg.Name}})
-	}
-	for _, other := range n.links {
-		if other == l {
-			continue
-		}
-		for rid, e := range other.interests {
-			fwd := routeEntry{raw: e.raw, canon: e.canon, hops: appendHop(e.hops, n.cfg.Name)}
-			if visited(fwd.hops, l.peer) {
-				continue
-			}
-			n.offerSub(l, rid, fwd)
 		}
 	}
 }
@@ -859,13 +737,11 @@ func (n *Node) routeKB(d knowledge.Delta, hops []string, from *link) {
 // reindexRouting re-canonicalizes the node's routing state after the
 // knowledge base changed the canonical form of the given terms:
 // recorded remote interests (the publication forwarding predicate) and
-// per-link cover tables are recomputed under the new stage, suppressed
-// subscriptions that the new knowledge uncovers are forwarded now, and
-// — with quenching on — every link is re-offered the subscriptions its
-// advertised space may newly overlap. Without this, a subscription
-// recorded under old knowledge could silently stop routing
-// publications phrased in the new terms, or stay quenched forever
-// after the knowledge made it routable.
+// per-link cover tables are recomputed under the new stage, and
+// suppressed subscriptions that the new knowledge uncovers are forwarded
+// now. Without this, a subscription recorded under old knowledge could
+// silently stop routing publications phrased in the new terms, or stay
+// pruned forever after the knowledge made it uncovered.
 //
 // Only entries whose RAW form mentions an affected term are
 // re-canonicalized (the semantic-stage pass per entry is the expensive
@@ -881,32 +757,12 @@ func (n *Node) reindexRouting(affected map[string]bool) {
 			e.canon = n.canonicalize(e.raw)
 			l.interests[rid] = e
 		}
-		for aid, ae := range l.adverts {
-			if !touches(message.Subscription{Subscriber: ae.adv.Publisher, Preds: ae.adv.Preds}) {
-				continue
-			}
-			ae.canon = n.canonicalizeAdv(ae.adv)
-			l.adverts[aid] = ae
-		}
-	}
-	for _, l := range n.links {
 		for _, rs := range l.out.recanonicalize(n.canonicalize, touches) {
 			raw := rs.e.raw.Clone()
 			if err := l.send(Frame{Type: frameSub, Origin: rs.id.Origin, Sub: &raw, Hops: rs.e.hops}); err != nil {
 				continue
 			}
 			n.subsReissued.Inc()
-		}
-	}
-	if n.cfg.Quench {
-		// New canonical forms can overlap a link's advertised space
-		// that quenching previously saw as disjoint. A quenched
-		// subscription is recorded in neither the cover table nor the
-		// suppressed set, so nothing above re-offers it — without this
-		// pass it would stay unrouted until the client resubscribed.
-		// The cover tables drop everything already sent.
-		for _, l := range n.links {
-			n.requench(l)
 		}
 	}
 }
@@ -935,14 +791,6 @@ func (n *Node) canonicalize(sub message.Subscription) message.Subscription {
 	return canon
 }
 
-// canonicalizeAdv maps an advertisement's predicates into the local
-// canonical form, so quench overlap honours synonym equivalence on the
-// advertisement side too.
-func (n *Node) canonicalizeAdv(adv matching.Advertisement) matching.Advertisement {
-	canon := n.canonicalize(message.Subscription{ID: 1, Subscriber: adv.Publisher, Preds: adv.Preds})
-	return matching.NewAdvertisement(adv.Publisher, canon.Preds...)
-}
-
 // expandForRouting derives the event set the local engine would match,
 // making the forwarding predicate semantically faithful.
 func (n *Node) expandForRouting(ev message.Event) []message.Event {
@@ -951,17 +799,6 @@ func (n *Node) expandForRouting(ev message.Event) []message.Event {
 		return []message.Event{ev}
 	}
 	return eng.Stage().ProcessEvent(ev).Events
-}
-
-// sendAdv transmits one advertisement on a link. Hops must be the real
-// travel path (origin first, this node included as the last hop): sync
-// replays pass the stored path so an advertisement can never echo back
-// to its origin and be mistaken for a remote one.
-func (n *Node) sendAdv(l *link, aid advID, adv matching.Advertisement, hops []string) {
-	if err := l.send(Frame{Type: frameAdv, Origin: aid.Origin, Client: aid.Client, Preds: adv.Preds, Hops: hops}); err != nil {
-		return
-	}
-	n.advertsForwarded.Inc()
 }
 
 // markSeen records a publication ID in the bounded dedup window.
@@ -998,18 +835,15 @@ func (n *Node) remoteStats() broker.RemoteStats {
 	n.mu.Lock()
 	peers := len(n.links)
 	remoteSubs := 0
-	adverts := 0
 	for _, l := range n.links {
 		remoteSubs += len(l.interests)
-		adverts += len(l.adverts)
 	}
 	n.mu.Unlock()
 	return broker.RemoteStats{
 		Peers:         peers,
 		RemoteSubs:    remoteSubs,
-		AdvertsSeen:   uint64(adverts),
 		SubsForwarded: n.subsForwarded.Value(),
-		SubsPruned:    n.subsPruned.Value() + n.subsQuenched.Value(),
+		SubsPruned:    n.subsPruned.Value(),
 		SubsReissued:  n.subsReissued.Value(),
 		PubsForwarded: n.pubsForwarded.Value(),
 		PubsReceived:  n.pubsReceived.Value(),

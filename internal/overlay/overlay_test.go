@@ -28,7 +28,7 @@ type testBroker struct {
 	ch   chan notify.Notification
 }
 
-func newTestBroker(t *testing.T, name string, quench bool) *testBroker {
+func newTestBroker(t *testing.T, name string) *testBroker {
 	t.Helper()
 	ch := make(chan notify.Notification, 256)
 	nt, err := notify.NewEngine(notify.Config{Workers: 2}, &chanTransport{ch: ch})
@@ -36,7 +36,7 @@ func newTestBroker(t *testing.T, name string, quench bool) *testBroker {
 		t.Fatal(err)
 	}
 	b := broker.New(core.NewEngine(nil), nt)
-	node, err := NewNode(Config{Name: name, Listen: "127.0.0.1:0", Quench: quench}, b)
+	node, err := NewNode(Config{Name: name, Listen: "127.0.0.1:0"}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +121,9 @@ func expectSilence(t *testing.T, ch chan notify.Notification) {
 // while B's covering subscription stands, and removing the coverer
 // re-advertises it.
 func TestThreeBrokerChain(t *testing.T) {
-	a := newTestBroker(t, "A", false)
-	b := newTestBroker(t, "B", false)
-	c := newTestBroker(t, "C", false)
+	a := newTestBroker(t, "A")
+	b := newTestBroker(t, "B")
+	c := newTestBroker(t, "C")
 
 	// Chain topology: B dials A, C dials B.
 	if err := b.node.Dial(a.node.Addr()); err != nil {
@@ -213,9 +213,9 @@ func TestThreeBrokerChain(t *testing.T) {
 // subscriber on two paths; the duplicate is suppressed and delivery
 // happens exactly once.
 func TestTriangleDedup(t *testing.T) {
-	a := newTestBroker(t, "A", false)
-	b := newTestBroker(t, "B", false)
-	c := newTestBroker(t, "C", false)
+	a := newTestBroker(t, "A")
+	b := newTestBroker(t, "B")
+	c := newTestBroker(t, "C")
 	if err := b.node.Dial(a.node.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -248,17 +248,25 @@ func TestTriangleDedup(t *testing.T) {
 	})
 }
 
-// TestQuenching: with Quench enabled a subscription is only forwarded
-// toward links whose advertisements overlap it.
-func TestQuenching(t *testing.T) {
-	a := newTestBroker(t, "A", false)
-	b := newTestBroker(t, "B", true) // B prunes its outgoing subscriptions
-	if err := b.node.Dial(a.node.Addr()); err != nil {
+// TestAdvertisingStaysLocal: on a federated broker, advertisements
+// are broker-local. Advertising and unadvertising send nothing to the
+// peer, while publish-from conformance and the overlap query still
+// work at the advertising broker.
+func TestAdvertisingStaysLocal(t *testing.T) {
+	a := newTestBroker(t, "A")
+	b := newTestBroker(t, "B")
+	inX := a.subscribe(t, "ax", message.Pred("x", message.OpGe, message.Int(5)))
+	a.subscribe(t, "ay", message.Pred("y", message.OpEq, message.String("jobs")))
+	// A dials, so its side of the link sync (subscriptions and ops
+	// summary) is sent before Dial returns; nothing B sends back makes
+	// A send on a two-broker link.
+	if err := a.node.Dial(b.node.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "link up", func() bool { return len(a.node.Peers()) == 1 })
+	waitFor(t, "subs at B", func() bool { return b.b.Stats().Remote.RemoteSubs == 2 })
+	sent := a.node.Registry().Counter("overlay.link.B.frames_sent")
+	before := sent.Value()
 
-	// A publisher at A advertises the numeric x space.
 	if err := a.b.Register(broker.Client{Name: "px"}); err != nil {
 		t.Fatal(err)
 	}
@@ -267,35 +275,32 @@ func TestQuenching(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "advertisement at B", func() bool {
-		return b.b.Stats().Remote.AdvertsSeen == 1
-	})
+	if got := sent.Value(); got != before {
+		t.Fatalf("Advertise sent %d frames to B, want 0", got-before)
+	}
 
-	// A subscription outside the advertised space is quenched at B …
-	b.subscribe(t, "bty", message.Pred("y", message.OpEq, message.String("jobs")))
-	waitFor(t, "quenched sub counted", func() bool {
-		return b.b.Stats().Remote.SubsPruned >= 1
-	})
-	// … while an overlapping one crosses to A.
-	b.subscribe(t, "btx", message.Pred("x", message.OpGe, message.Int(5)))
-	waitFor(t, "overlapping sub at A", func() bool {
-		return a.b.Stats().Remote.RemoteSubs == 1
-	})
-
-	if _, err := a.b.PublishFrom("px", message.E("x", 7)); err != nil {
+	if _, err := a.b.PublishFrom("px", message.E("y", "jobs")); err == nil {
+		t.Fatal("non-conforming PublishFrom accepted")
+	}
+	ids, err := a.b.OverlappingSubscriptions("px")
+	if err != nil {
 		t.Fatal(err)
 	}
-	n := expectNotification(t, b.ch, "btx")
-	if v, _ := n.Event.Get("x"); v.IntVal() != 7 {
-		t.Fatalf("btx received %v", n.Event)
+	if len(ids) != 1 || ids[0] != inX {
+		t.Fatalf("OverlappingSubscriptions = %v, want [%d]", ids, inX)
+	}
+
+	a.b.Unadvertise("px")
+	if got := sent.Value(); got != before {
+		t.Fatalf("Advertise/Unadvertise sent %d frames to B, want 0", got-before)
 	}
 }
 
 // TestLateJoinSync: a node that connects after subscriptions exist
 // receives the full state on the new link.
 func TestLateJoinSync(t *testing.T) {
-	a := newTestBroker(t, "A", false)
-	b := newTestBroker(t, "B", false)
+	a := newTestBroker(t, "A")
+	b := newTestBroker(t, "B")
 	b.subscribe(t, "bob", message.Pred("x", message.OpGe, message.Int(0)))
 
 	// Link comes up only after bob subscribed.
@@ -314,8 +319,8 @@ func TestLateJoinSync(t *testing.T) {
 // TestOverlayMetricsReport: the node's counters land in its registry
 // with per-link entries.
 func TestOverlayMetricsReport(t *testing.T) {
-	a := newTestBroker(t, "A", false)
-	b := newTestBroker(t, "B", false)
+	a := newTestBroker(t, "A")
+	b := newTestBroker(t, "B")
 	if err := b.node.Dial(a.node.Addr()); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package overlay federates S-ToPSS brokers into a multi-node
 // publish/subscribe network: peer brokers connect over TCP and exchange
 // length-prefixed frames that propagate subscriptions (with
-// covering-based pruning), advertisements, and publications. There is
+// covering-based pruning) and publications. There is
 // one wire format: a fixed hello preamble, then binary frames with
 // per-link interned dictionaries (wire_binary.go).
 //
@@ -14,12 +14,8 @@
 //     when an already-forwarded one covers it (matching.Covers): the
 //     covering subscription routes a superset of the covered one's
 //     publications, so the covered entry adds no reachability.
-//     Removing a covering subscription re-advertises whatever it was
+//     Removing a covering subscription re-forwards whatever it was
 //     suppressing (see coverTable).
-//   - Advertisements flood the same way and are recorded per origin;
-//     with Config.Quench enabled they additionally prune subscription
-//     forwarding (a subscription only travels toward links whose side
-//     has advertised an overlapping event space).
 //   - Publications travel only along links whose recorded remote
 //     subscriptions match, carry the hop list for loop prevention and
 //     a origin-sequence ID for duplicate suppression, and are matched
@@ -57,8 +53,6 @@ type FrameType byte
 const (
 	frameSub   FrameType = iota + 1 // subscription propagation
 	frameUnsub                      // subscription withdrawal
-	frameAdv                        // advertisement propagation
-	frameUnadv                      // advertisement withdrawal
 	framePub                        // publication forwarding
 	frameKB                         // knowledge-delta replication
 	frameTrace                      // trace report travelling BACK toward a pub's origin
@@ -67,8 +61,8 @@ const (
 
 // frameNames maps every assigned frame type to its name in logs.
 var frameNames = [...]string{
-	frameSub: "sub", frameUnsub: "unsub", frameAdv: "adv", frameUnadv: "unadv",
-	framePub: "pub", frameKB: "kb", frameTrace: "trace", frameOps: "ops",
+	frameSub: "sub", frameUnsub: "unsub", framePub: "pub", frameKB: "kb",
+	frameTrace: "trace", frameOps: "ops",
 }
 
 // valid reports whether t is an assigned frame type.
@@ -87,8 +81,8 @@ func (t FrameType) String() string {
 type Frame struct {
 	Type FrameType
 	// Origin names the broker where the carried state was created;
-	// together with Sub.ID (or Client for advertisements) it forms the
-	// overlay-wide identity of the routed entry.
+	// together with Sub.ID it forms the overlay-wide identity of the
+	// routed subscription.
 	Origin string
 	// Hops lists brokers the frame has visited, in order. A node never
 	// forwards a frame to a peer already in Hops and drops frames that
@@ -97,9 +91,6 @@ type Frame struct {
 
 	Sub   *message.Subscription // sub
 	SubID message.SubID         // unsub
-
-	Client string              // adv/unadv: publisher
-	Preds  []message.Predicate // adv
 
 	Event *message.Event // pub
 	PubID string         // pub/trace: origin-scoped identity
@@ -136,7 +127,7 @@ type Frame struct {
 // an unvetted peer sends.
 const (
 	helloMagic      = "STPS"
-	protocolVersion = 1
+	protocolVersion = 2
 	maxNodeName     = 255
 )
 

@@ -29,8 +29,6 @@ const (
 	bitHops
 	bitSub
 	bitSubID
-	bitClient
-	bitPreds
 	bitEvent
 	bitPubID
 	bitTrace
@@ -61,12 +59,6 @@ func appendFrameBinary(w *message.BWriter, f Frame) error {
 	}
 	if f.SubID != 0 {
 		mask |= bitSubID
-	}
-	if f.Client != "" {
-		mask |= bitClient
-	}
-	if len(f.Preds) > 0 {
-		mask |= bitPreds
 	}
 	if f.Event != nil {
 		mask |= bitEvent
@@ -99,15 +91,6 @@ func appendFrameBinary(w *message.BWriter, f Frame) error {
 	}
 	if mask&bitSubID != 0 {
 		w.Uvarint(uint64(f.SubID))
-	}
-	if mask&bitClient != 0 {
-		w.String(f.Client)
-	}
-	if mask&bitPreds != 0 {
-		w.Uvarint(uint64(len(f.Preds)))
-		for _, p := range f.Preds {
-			w.Predicate(p)
-		}
 	}
 	if mask&bitEvent != 0 {
 		w.Event(*f.Event)
@@ -197,28 +180,6 @@ func decodeFrameBinary(body []byte, dict *message.Intern) (Frame, error) {
 			return Frame{}, err
 		}
 		f.SubID = message.SubID(id)
-	}
-	if mask&bitClient != 0 {
-		if f.Client, err = r.String(); err != nil {
-			return Frame{}, err
-		}
-	}
-	if mask&bitPreds != 0 {
-		n, err := r.Uvarint()
-		if err != nil {
-			return Frame{}, err
-		}
-		if n > uint64(r.Len()) {
-			return Frame{}, fmt.Errorf("overlay: predicate count %d exceeds input", n)
-		}
-		f.Preds = make([]message.Predicate, 0, n)
-		for i := uint64(0); i < n; i++ {
-			p, err := r.Predicate()
-			if err != nil {
-				return Frame{}, err
-			}
-			f.Preds = append(f.Preds, p)
-		}
 	}
 	if mask&bitEvent != 0 {
 		ev, err := r.Event()

@@ -50,6 +50,10 @@ func FuzzFrame(f *testing.F) {
 	f.Add(binary.AppendUvarint(nil, maxFrameSize+1))
 	f.Add(bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64+1))
 	f.Add(append(binary.AppendUvarint(nil, 1024), byte(framePub), 0))
+	// Malformed bodies: an unassigned frame type and an unknown
+	// presence bit.
+	f.Add([]byte{2, byte(len(frameNames)), 0})
+	f.Add(binary.AppendUvarint([]byte{3, byte(frameUnsub)}, maskKnown+1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := readFrameBinary(bufio.NewReader(bytes.NewReader(data)), nil, message.NewIntern())

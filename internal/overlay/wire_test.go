@@ -32,10 +32,6 @@ func testFrames() []Frame {
 	return []Frame{
 		{Type: frameSub, Origin: "broker-c", Hops: []string{"broker-c", "broker-b"}, Sub: &sub},
 		{Type: frameUnsub, Origin: "broker-c", SubID: 7, Hops: []string{"broker-c"}},
-		{Type: frameAdv, Origin: "broker-a", Client: "pub-1",
-			Preds: []message.Predicate{message.Pred("x", message.OpGe, message.Int(0))},
-			Hops:  []string{"broker-a"}},
-		{Type: frameUnadv, Origin: "broker-a", Client: "pub-1", Hops: []string{"broker-a"}},
 		{Type: framePub, Origin: "broker-a", PubID: "broker-a/1", Event: &ev, Hops: []string{"broker-a"}, Trace: spans},
 		{Type: frameKB, Origin: "broker-a", KB: &kb, Hops: []string{"broker-a"}},
 		{Type: frameTrace, PubID: "broker-a/1", Trace: spans},
@@ -69,9 +65,19 @@ func frameJSON(t testing.TB, f Frame) string {
 // link would) and checks the decoded frames are indistinguishable from
 // the originals. The second pass re-sends the same frames so dictionary
 // back-references are actually exercised, and must produce strictly
-// fewer bytes.
+// fewer bytes. Every assigned frame type must have a case, so a new
+// type cannot ship without a codec test.
 func TestFrameRoundTrip(t *testing.T) {
 	frames := testFrames()
+	covered := make(map[FrameType]bool, len(frames))
+	for _, f := range frames {
+		covered[f.Type] = true
+	}
+	for ft := range FrameType(len(frameNames)) {
+		if ft.valid() && !covered[ft] {
+			t.Errorf("frame type %s has no round-trip case in testFrames", ft)
+		}
+	}
 	var wire bytes.Buffer
 	l := newWireLink(&wire)
 	var wireLen [2]int // stream length after each pass

@@ -634,14 +634,15 @@ func (c *Cluster) Heal() {
 }
 
 // Settle blocks until the overlay is quiescent — no bytes on any
-// stream, every stream reader parked, no node holding unflushed frames
-// — stably across several consecutive observations, then drains every
-// notifier so delivery assertions see all notifications. Draining can
-// itself create traffic: delivery hooks emit trace reports back toward
-// each publication's origin, so the outer loop settles again until a
-// drain pass leaves the network quiet. It never sleeps for effect; the
-// deadline exists only to fail loudly instead of hanging if the
-// overlay livelocks.
+// stream, every stream reader parked, no node holding unflushed frames,
+// no live node still linked to a peer it lost — stably across several
+// consecutive observations, then drains every notifier so delivery
+// assertions see all notifications. Draining can itself create
+// traffic: delivery hooks emit trace reports back toward each
+// publication's origin, so the outer loop settles again until a drain
+// pass leaves the network quiet. It never sleeps for effect; the
+// deadline exists only to fail loudly instead of hanging if the overlay
+// livelocks.
 func (c *Cluster) Settle() {
 	c.tb.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -679,16 +680,41 @@ func (c *Cluster) waitQuiesced(deadline time.Time) {
 	}
 }
 
+// quiesced reports one observation of a quiet overlay: no bytes in
+// flight, no node holding unflushed frames, and no live broker still
+// listing a peer it has no live edge to. The last condition waits out
+// the detach of links cut by Crash or Partition: until the survivor
+// notices, its old link holds the peer's name, and a Rejoin or Heal
+// dial would be rejected as a second link with that name.
 func (c *Cluster) quiesced() bool {
 	if !c.Net.Quiet() {
 		return false
 	}
-	for _, b := range c.Brokers {
-		if !b.crashed && b.Node.Pending() != 0 {
+	for i, b := range c.Brokers {
+		if b.crashed {
+			continue
+		}
+		if b.Node.Pending() != 0 {
 			return false
+		}
+		for _, peer := range b.Node.Peers() {
+			if !c.live[edge(i, c.index(peer))] {
+				return false
+			}
 		}
 	}
 	return true
+}
+
+// index returns the position of the broker named name.
+func (c *Cluster) index(name string) int {
+	for i, b := range c.Brokers {
+		if b.Name == name {
+			return i
+		}
+	}
+	c.tb.Fatalf("sim: no broker named %q", name)
+	return -1
 }
 
 // VerifyExactlyOnce asserts the end-to-end routing invariant over the
