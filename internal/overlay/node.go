@@ -150,7 +150,7 @@ func NewNode(cfg Config, b *broker.Broker) (*Node, error) {
 		Capacity: cfg.TraceCapacity,
 		Registry: reg,
 	})
-	n.trc.SetReporter(n.reportUpstream)
+	n.trc.SetReporter(n.sendTraceReport)
 	b.SetTracer(n.trc)
 	b.SetForwarder(n)
 	b.SetRemoteStatsSource(n.remoteStats)
@@ -574,11 +574,8 @@ func (n *Node) handleFrame(l *link, f Frame) {
 
 		n.pubsReceived.Inc()
 		// Inherit the origin's sampling decision: spans on the frame
-		// mean the publication is traced; record our hop's recv span.
-		now := time.Now()
-		if n.trc.StampRemote(f.PubID, l.peer, f.Trace, now) {
-			n.trc.Recv(f.PubID, l.peer, now)
-		}
+		// mean the publication is traced.
+		n.trc.StampRemote(f.PubID, l.peer, f.Trace, time.Now())
 		// Local delivery runs outside n.mu: it takes broker and engine
 		// locks and must not nest under routing state.
 		if _, err := n.b.DeliverRemotePub(*f.Event, f.PubID); err != nil {
@@ -598,35 +595,17 @@ func (n *Node) handleFrame(l *link, f Frame) {
 		if f.PubID == "" || len(f.Trace) == 0 {
 			return
 		}
-		// Fold the downstream broker's span set into ours; when it told
-		// us something new and we are not the origin, relay our merged
-		// set one hop further upstream. Dedup by (broker, span seq)
-		// makes the relay idempotent, so repeated reports converge
-		// instead of echoing.
-		if !n.trc.Merge(f.PubID, f.Trace) {
-			return
-		}
-		if up := n.trc.Upstream(f.PubID); up != "" && up != l.peer {
-			n.sendTraceReport(f.PubID, up, n.trc.Spans(f.PubID))
-		}
+		// Fold the downstream broker's new spans into ours; the tracer
+		// passes them on upstream unless we are the origin.
+		n.trc.Merge(f.PubID, f.Trace)
 	}
 }
 
-// reportUpstream is the tracer's Reporter: a terminal delivery outcome
-// on this broker, for a publication that arrived from a peer, is sent
-// back along the arrival link so the origin assembles the full tree.
-// Runs on notify worker goroutines — send only enqueues.
-func (n *Node) reportUpstream(pubID, upstream string, spans []trace.Span) {
-	n.sendTraceReport(pubID, upstream, spans)
-}
-
-// sendTraceReport sends a trace frame to the named peer, if a link to
-// it is up (trace reports are best-effort diagnostics: a torn link
-// loses the report, never the delivery).
+// sendTraceReport is the tracer's Reporter: it sends a trace frame to
+// the named peer, if a link to it is up (trace reports are best-effort
+// diagnostics: a torn link loses the report, never the delivery). Runs
+// on notify worker and link reader goroutines — send only enqueues.
 func (n *Node) sendTraceReport(pubID, peer string, spans []trace.Span) {
-	if len(spans) == 0 {
-		return
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, l := range n.links {
@@ -687,7 +666,6 @@ func (n *Node) routePub(ev message.Event, pubID string, hops []string, from *lin
 	// while encoding it, so the per-link copies this used to make were
 	// pure allocation overhead (the hop list is shared the same way).
 	var evShared *message.Event
-	traced := n.trc.Traced(pubID)
 	for _, l := range n.links {
 		if l == from || visited(hops, l.peer) {
 			continue
@@ -701,11 +679,7 @@ func (n *Node) routePub(ev message.Event, pubID string, hops []string, from *lin
 		if !interestsMatch(l, events) {
 			continue
 		}
-		var spans []trace.Span
-		if traced {
-			n.trc.Forward(pubID, l.peer, time.Now())
-			spans = n.trc.Spans(pubID)
-		}
+		spans := n.trc.Forward(pubID, l.peer, time.Now())
 		if evShared == nil {
 			evCopy := ev.Clone()
 			evShared = &evCopy

@@ -775,10 +775,12 @@ func (c *Cluster) VerifyAtLeastOnce() (duplicates int) {
 // every remote broker expected to deliver, a forward span launching
 // the publication into the overlay when remote delivery was expected,
 // and one deliver span per expected subscription (reported back along
-// the reverse forwarding path). Publications straddling a fault
-// injection are skipped: trace state is deliberately in-memory and
-// dies with its process. Returns how many publications were checked
-// strictly and how many were exempted. Call after Settle.
+// the reverse forwarding path) — and each span once: a span crosses
+// each link of the reverse path once, so a repeated (Broker, Seq) is a
+// re-send. Publications straddling a fault injection are skipped:
+// trace state is deliberately in-memory and dies with its process.
+// Returns how many publications were checked strictly and how many
+// were exempted. Call after Settle.
 func (c *Cluster) VerifyTraceComplete() (checked, skipped int) {
 	c.tb.Helper()
 	for _, p := range c.pubs {
@@ -800,8 +802,19 @@ func (c *Cluster) VerifyTraceComplete() (checked, skipped int) {
 			id     message.SubID
 		}
 		delivered := make(map[del]bool)
+		type ident struct {
+			broker string
+			seq    uint64
+		}
+		ids := make(map[ident]bool, len(spans))
 		forwards := 0
 		for _, s := range spans {
+			id := ident{s.Broker, s.Seq}
+			if ids[id] {
+				c.tb.Errorf("pub %d (%s): origin %s holds span %s#%d (%s) twice",
+					p.Seq, p.ID, origin.Name, s.Broker, s.Seq, s.Kind)
+			}
+			ids[id] = true
 			have[kb{s.Kind, s.Broker}] = true
 			switch s.Kind {
 			case trace.KindDeliver:

@@ -83,6 +83,29 @@ func TestTraceExactlyOnceRing(t *testing.T) {
 	}
 }
 
+// TestTraceStarSpanTree publishes from every broker of a 5-broker star
+// with a subscriber on every spoke: the hub relays reports from several
+// downstream branches at once, and a spoke's reports cross two links to
+// reach another spoke's origin.
+func TestTraceStarSpanTree(t *testing.T) {
+	c := NewCluster(t, 5)
+	c.Wire(Star(5))
+
+	for i := 1; i < 5; i++ {
+		c.Subscribe(i, ge("x", 0))
+	}
+	c.Settle()
+
+	for i := 0; i < 5; i++ {
+		c.Publish(i, "x", i)
+	}
+	c.Settle()
+	c.VerifyExactlyOnce()
+	if checked, skipped := c.VerifyTraceComplete(); checked != 5 || skipped != 0 {
+		t.Fatalf("VerifyTraceComplete checked %d/skipped %d, want 5/0", checked, skipped)
+	}
+}
+
 // TestTraceDurableCrashRejoin mixes trace verification with the
 // durable crash-restart scenario: publications that straddle the fault
 // are exempt (trace state is in-memory and dies with the process), but

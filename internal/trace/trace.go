@@ -11,7 +11,10 @@
 // of every broker already visited, and terminal delivery outcomes on a
 // remote broker are reported BACK along the reverse forwarding path,
 // so the publishing broker (and every broker en route) ends up holding
-// the assembled span tree. `GET /api/v1/trace/<pubID>` serves it.
+// the assembled span tree. `GET /api/v1/trace/<pubID>` serves it. A
+// report carries only the spans its sender has not sent before, and a
+// broker accepts a publication once, so each span crosses each link of
+// the reverse path exactly once.
 //
 // Traces live in a bounded in-memory ring with head-based sampling:
 // the origin broker decides at publish time whether a publication is
@@ -56,8 +59,7 @@ const (
 )
 
 // Span is one timed step of a publication's journey. Broker+Seq
-// identify a span federation-wide (Seq is per-tracer monotonic), which
-// is what makes merging span sets from frames and reports idempotent.
+// identify a span federation-wide (Seq is per-tracer monotonic).
 type Span struct {
 	Broker string    `json:"broker"`
 	Seq    uint64    `json:"seq"`
@@ -69,8 +71,6 @@ type Span struct {
 	SubID  uint64    `json:"sub_id,omitempty"` // subscription for delivery outcomes
 	Err    string    `json:"err,omitempty"`
 }
-
-func (s Span) key() string { return s.Broker + "\x00" + strconv.FormatUint(s.Seq, 10) }
 
 // Config tunes a tracer.
 type Config struct {
@@ -94,11 +94,12 @@ type Config struct {
 	Registry *metrics.Registry
 }
 
-// Reporter carries a completed local delivery outcome toward the
-// publication's origin. The overlay node installs one that sends a
-// trace report frame on the upstream link; spans is the tracer's full
-// current span set for the publication. Called synchronously from
-// delivery worker goroutines — implementations must not block.
+// Reporter carries a publication's spans toward its origin. The
+// overlay node installs one that sends a trace report frame on the
+// upstream link; spans are the publication's spans this tracer has not
+// sent upstream before — its own new spans and those merged from
+// downstream reports. Called synchronously from delivery worker and
+// link reader goroutines — implementations must not block.
 type Reporter func(pubID, upstream string, spans []Span)
 
 // Stats summarizes tracer activity.
@@ -115,11 +116,11 @@ type Stats struct {
 // pubTrace is one publication's accumulated state.
 type pubTrace struct {
 	spans    []Span
-	seen     map[string]bool // span identity set (dedup across frames/reports)
-	upstream string          // peer the publication arrived from ("" at origin)
-	start    time.Time       // publish/recv time, for the end-to-end histogram
-	origin   bool            // minted here (publish→ack observed here)
-	forced   bool            // pinned in the forced ring
+	sent     int       // spans[:sent] are already held upstream
+	upstream string    // peer the publication arrived from ("" at origin)
+	start    time.Time // publish/recv time, for the end-to-end histogram
+	origin   bool      // minted here (publish→ack observed here)
+	forced   bool      // pinned in the forced ring
 }
 
 // Tracer collects spans for recent publications on one broker.
@@ -129,7 +130,8 @@ type Tracer struct {
 	sample int
 	cap    int
 
-	pubSeq atomic.Uint64 // publication IDs
+	pubSeq    atomic.Uint64 // publication IDs
+	sampleSeq atomic.Uint64 // local stamps, for head sampling
 
 	mu       sync.Mutex
 	spanSeq  uint64
@@ -211,7 +213,7 @@ func (t *Tracer) NewPubID() string {
 // whether it is sampled. Unsampled publications record nothing (until
 // a failed delivery forces a partial trace).
 func (t *Tracer) StampLocal(pubID string, start time.Time) bool {
-	if t.sample == 0 || (t.sample > 1 && t.pubSeq.Load()%uint64(t.sample) != 0) {
+	if t.sample == 0 || (t.sample > 1 && t.sampleSeq.Add(1)%uint64(t.sample) != 0) {
 		t.cSampleOut.Inc()
 		t.mu.Lock()
 		t.stats.SampledOut++
@@ -220,25 +222,33 @@ func (t *Tracer) StampLocal(pubID string, start time.Time) bool {
 	}
 	t.cSampled.Inc()
 	t.mu.Lock()
-	t.insertLocked(pubID, &pubTrace{seen: make(map[string]bool), start: start, origin: true})
+	t.insertLocked(pubID, &pubTrace{start: start, origin: true})
 	t.stats.Stamped++
 	t.mu.Unlock()
 	return true
 }
 
 // StampRemote starts a trace for a publication that arrived from a
-// peer, merging the span records the frame carried. The sampling
-// decision is inherited: a frame without spans means the origin
-// sampled the publication out, and no trace is created.
+// peer: it holds the span records the frame carried, which the
+// upstream peer already has, and records this hop's recv span. The
+// sampling decision is inherited: a frame without spans means the
+// origin sampled the publication out, and no trace is created.
 func (t *Tracer) StampRemote(pubID, upstream string, spans []Span, start time.Time) bool {
 	if len(spans) == 0 {
 		return false
 	}
+	pt := &pubTrace{spans: make([]Span, 0, len(spans)+1), upstream: upstream, start: start}
+	for _, s := range spans {
+		if s.Broker != "" { // peer input: a span without its broker is dropped
+			pt.spans = append(pt.spans, s)
+		}
+	}
+	pt.sent = len(pt.spans)
 	t.mu.Lock()
-	pt := &pubTrace{seen: make(map[string]bool), upstream: upstream, start: start}
+	t.stats.Merged += uint64(pt.sent)
 	t.insertLocked(pubID, pt)
-	t.mergeLocked(pt, spans)
 	t.stats.Stamped++
+	t.addSpanLocked(pubID, Span{Kind: KindRecv, Start: start, Link: upstream}, false)
 	t.mu.Unlock()
 	t.cSampled.Inc()
 	return true
@@ -269,94 +279,108 @@ func (t *Tracer) Traced(pubID string) bool {
 	return t.traces[pubID] != nil
 }
 
-// Upstream returns the peer a traced publication arrived from ("" for
-// local origin or unknown publications).
-func (t *Tracer) Upstream(pubID string) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if pt := t.traces[pubID]; pt != nil {
-		return pt.upstream
-	}
-	return ""
-}
-
 // Observe records one local span against pubID (no-op when the
 // publication is not traced) and feeds the matching stage histogram
 // regardless — per-stage latency is collected even for sampled-out
 // publications, so sampling does not bias the histograms.
 func (t *Tracer) Observe(pubID, kind string, start time.Time, dur time.Duration) {
 	t.observeStage(kind, dur)
-	t.addSpan(pubID, Span{Kind: kind, Start: start, Dur: int64(dur)}, false)
+	t.mu.Lock()
+	t.addSpanLocked(pubID, Span{Kind: kind, Start: start, Dur: int64(dur)}, false)
+	t.mu.Unlock()
 }
 
-// Forward records a forward span toward the named peer. Duration is
-// unknown at enqueue time (the frame leaves on the writer goroutine);
-// the per-link queue-wait histogram covers it instead.
-func (t *Tracer) Forward(pubID, peer string, start time.Time) {
-	t.addSpan(pubID, Span{Kind: KindForward, Start: start, Link: peer}, false)
-}
-
-// Recv records the acceptance of a remote publication from a peer.
-func (t *Tracer) Recv(pubID, peer string, start time.Time) {
-	t.addSpan(pubID, Span{Kind: KindRecv, Start: start, Link: peer}, false)
+// Forward records a forward span toward the named peer and returns the
+// span set the pub frame to that peer carries, or nil when pubID is
+// not traced — the peer inherits the sampling decision from it.
+// Duration is unknown at enqueue time (the frame leaves on the writer
+// goroutine); the per-link queue-wait histogram covers it instead.
+func (t *Tracer) Forward(pubID, peer string, start time.Time) []Span {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	pt := t.addSpanLocked(pubID, Span{Kind: KindForward, Start: start, Link: peer}, false)
+	if pt == nil {
+		return nil
+	}
+	return append([]Span(nil), pt.spans...)
 }
 
 // Outcome records a terminal delivery outcome span for one
-// subscription and triggers the upstream reporter for remote-origin
-// publications. Failed outcomes (dead_letter, park, undeliverable)
-// force-keep the trace even when the publication was sampled out.
+// subscription and reports it upstream for remote-origin publications.
+// Failed outcomes (dead_letter, park, undeliverable) force-keep the
+// trace even when the publication was sampled out.
 func (t *Tracer) Outcome(pubID, kind string, sub string, subID uint64, start time.Time, dur time.Duration, errMsg string) {
 	if kind == KindDeliver {
 		t.hDeliver.Observe(dur)
 	}
 	forced := kind == KindDeadLetter || kind == KindPark || kind == KindUndeliverab
-	t.addSpan(pubID, Span{Kind: kind, Start: start, Dur: int64(dur), Sub: sub, SubID: subID, Err: errMsg}, forced)
-
-	// End-to-end publish→ack on the origin broker, and the upstream
-	// report everywhere else.
 	t.mu.Lock()
-	pt := t.traces[pubID]
+	pt := t.addSpanLocked(pubID, Span{Kind: kind, Start: start, Dur: int64(dur), Sub: sub, SubID: subID, Err: errMsg}, forced)
 	if pt == nil {
 		t.mu.Unlock()
 		return
 	}
 	if pt.origin && kind == KindDeliver {
-		t.mu.Unlock()
 		t.hEndToEnd.Observe(time.Since(pt.start))
-		t.mu.Lock()
-		pt = t.traces[pubID]
-		if pt == nil {
-			t.mu.Unlock()
-			return
-		}
 	}
-	rep := t.reporter
-	upstream := pt.upstream
-	var spans []Span
-	if rep != nil && upstream != "" {
-		spans = append(spans, pt.spans...)
-	}
-	t.mu.Unlock()
-	if rep != nil && upstream != "" {
-		rep(pubID, upstream, spans)
-	}
+	t.report(pubID, pt)
 }
 
-// addSpan appends one local span. force creates a partial trace for
-// unknown publications (the always-keep path for failed deliveries).
-func (t *Tracer) addSpan(pubID string, s Span, force bool) {
-	if pubID == "" {
-		return
-	}
-	s.Broker = t.broker
+// Merge folds the spans a downstream broker reported into pubID's
+// trace and passes them on upstream. Unknown publications are ignored
+// (evicted or sampled out locally).
+func (t *Tracer) Merge(pubID string, spans []Span) {
 	t.mu.Lock()
 	pt := t.traces[pubID]
 	if pt == nil {
-		if !force {
-			t.mu.Unlock()
-			return
+		t.mu.Unlock()
+		return
+	}
+	for _, s := range spans {
+		if s.Broker == "" { // peer input: a span without its broker is dropped
+			continue
 		}
-		pt = &pubTrace{seen: make(map[string]bool), start: s.Start}
+		pt.spans = append(pt.spans, s)
+		t.stats.Merged++
+		// A deliver span reported back from a remote broker closes the
+		// publish→ack window at the origin, same as a local delivery.
+		if pt.origin && s.Kind == KindDeliver {
+			t.hEndToEnd.Observe(time.Since(pt.start))
+		}
+	}
+	t.report(pubID, pt)
+}
+
+// report ends Outcome and Merge. Called with t.mu held, it takes the
+// spans of pt not yet sent upstream, advances the watermark past them
+// and releases the lock before handing them to the reporter.
+func (t *Tracer) report(pubID string, pt *pubTrace) {
+	rep := t.reporter
+	var spans []Span
+	if rep != nil && pt.upstream != "" && pt.sent < len(pt.spans) {
+		spans = append([]Span(nil), pt.spans[pt.sent:]...)
+		pt.sent = len(pt.spans)
+	}
+	t.mu.Unlock()
+	if spans != nil {
+		rep(pubID, pt.upstream, spans)
+	}
+}
+
+// addSpanLocked appends one local span to pubID's trace and returns
+// the trace, or nil when pubID is not traced. force creates a partial
+// trace for unknown publications (the always-keep path for failed
+// deliveries). Callers hold t.mu.
+func (t *Tracer) addSpanLocked(pubID string, s Span, force bool) *pubTrace {
+	if pubID == "" {
+		return nil
+	}
+	pt := t.traces[pubID]
+	if pt == nil {
+		if !force {
+			return nil
+		}
+		pt = &pubTrace{start: s.Start}
 		t.insertLocked(pubID, pt)
 		t.stats.Stamped++
 	}
@@ -374,56 +398,13 @@ func (t *Tracer) addSpan(pubID string, s Span, force bool) {
 			}
 		}
 	}
+	s.Broker = t.broker
 	t.spanSeq++
 	s.Seq = t.spanSeq
 	pt.spans = append(pt.spans, s)
-	pt.seen[s.key()] = true
 	t.stats.Spans++
-	t.mu.Unlock()
 	t.cSpans.Inc()
-}
-
-// Merge folds remote spans (from a pub frame or a trace report) into
-// pubID's trace. It reports whether any span was new. Unknown
-// publications are ignored (evicted or sampled out locally).
-func (t *Tracer) Merge(pubID string, spans []Span) bool {
-	t.mu.Lock()
-	pt := t.traces[pubID]
-	if pt == nil {
-		t.mu.Unlock()
-		return false
-	}
-	changed, acks := t.mergeLocked(pt, spans)
-	origin, start := pt.origin, pt.start
-	t.mu.Unlock()
-	// A deliver span reported back from a remote broker closes the
-	// publish→ack window at the origin, same as a local delivery.
-	if origin {
-		for range acks {
-			t.hEndToEnd.Observe(time.Since(start))
-		}
-	}
-	return changed
-}
-
-// mergeLocked folds the new spans in and returns the newly-merged
-// remote deliver spans (the origin's end-to-end accounting).
-func (t *Tracer) mergeLocked(pt *pubTrace, spans []Span) (bool, []Span) {
-	changed := false
-	var acks []Span
-	for _, s := range spans {
-		if s.Broker == "" || pt.seen[s.key()] {
-			continue
-		}
-		pt.seen[s.key()] = true
-		pt.spans = append(pt.spans, s)
-		t.stats.Merged++
-		changed = true
-		if s.Kind == KindDeliver {
-			acks = append(acks, s)
-		}
-	}
-	return changed, acks
+	return pt
 }
 
 // Spans returns a copy of pubID's span set, ordered by start time

@@ -65,6 +65,14 @@ func TestSampling(t *testing.T) {
 		t.Fatalf("sample=3 kept %d of 30, want 10", kept)
 	}
 
+	// Concurrent publishers mint IDs before stamping: the decision
+	// must still keep 1 in Sample stamps.
+	two := New(Config{Broker: "b3", Sample: 2})
+	a, b := two.NewPubID(), two.NewPubID()
+	if ka, kb := two.StampLocal(a, time.Now()), two.StampLocal(b, time.Now()); ka == kb {
+		t.Fatalf("sample=2 with interleaved IDs kept a=%v b=%v, want exactly one", ka, kb)
+	}
+
 	off := New(Config{Broker: "b2", Sample: -1})
 	id := off.NewPubID()
 	if off.StampLocal(id, time.Now()) {
@@ -85,12 +93,9 @@ func TestStampRemoteInheritsSamplingDecision(t *testing.T) {
 	if !tr.StampRemote("b1#e/2", "b1", carried, time.Now()) {
 		t.Fatal("frame with spans must be traced")
 	}
-	if up := tr.Upstream("b1#e/2"); up != "b1" {
-		t.Fatalf("upstream %q, want b1", up)
-	}
 	spans := tr.Spans("b1#e/2")
-	if len(spans) != 1 || spans[0].Broker != "b1" {
-		t.Fatalf("carried spans not merged: %+v", spans)
+	if len(spans) != 2 || spans[0].Broker != "b1" || spans[1].Kind != KindRecv || spans[1].Link != "b1" {
+		t.Fatalf("want the carried span then this hop's recv: %+v", spans)
 	}
 }
 
@@ -101,17 +106,14 @@ func TestMergeDedupsByBrokerSeq(t *testing.T) {
 	remote := []Span{
 		{Broker: "b2", Seq: 1, Kind: KindRecv, Start: time.Now()},
 		{Broker: "b2", Seq: 2, Kind: KindDeliver, Start: time.Now()},
+		{Seq: 3, Kind: KindDeliver, Start: time.Now()}, // no broker: dropped
 	}
-	if !tr.Merge(id, remote) {
-		t.Fatal("first merge should add spans")
-	}
-	if tr.Merge(id, remote) {
-		t.Fatal("second merge of identical spans should be a no-op")
-	}
+	tr.Merge(id, remote)
 	if got := len(tr.Spans(id)); got != 2 {
 		t.Fatalf("got %d spans, want 2", got)
 	}
-	if tr.Merge("unknown#e/9", remote) {
+	tr.Merge("unknown#e/9", remote)
+	if tr.Traced("unknown#e/9") {
 		t.Fatal("merge into unknown pub must be ignored")
 	}
 }
@@ -121,12 +123,11 @@ func TestRemoteDeliverMergeClosesPublishToAck(t *testing.T) {
 	id := tr.NewPubID()
 	tr.StampLocal(id, time.Now())
 	// Two deliver spans reported back from remote brokers: each closes
-	// one publish→ack window at the origin, dedup'd across re-reports.
+	// one publish→ack window at the origin.
 	reported := []Span{
 		{Broker: "b2", Seq: 1, Kind: KindDeliver, Start: time.Now()},
 		{Broker: "b3", Seq: 1, Kind: KindDeliver, Start: time.Now()},
 	}
-	tr.Merge(id, reported)
 	tr.Merge(id, reported)
 	if got := tr.Stages().PublishToAck.Count; got != 2 {
 		t.Fatalf("publish_to_ack count = %d, want 2 (one per remote deliver)", got)
@@ -216,8 +217,10 @@ func TestReporterFiresForRemoteOrigin(t *testing.T) {
 	if gotPub != "b1#e/1" || gotUp != "b1" {
 		t.Fatalf("report pub=%q up=%q", gotPub, gotUp)
 	}
-	if len(gotSpans) != 2 { // carried publish + local deliver
-		t.Fatalf("report spans %+v", gotSpans)
+	// Only this broker's spans go up: its recv and deliver. The carried
+	// publish span came from upstream.
+	if len(gotSpans) != 2 || gotSpans[0].Kind != KindRecv || gotSpans[1].Kind != KindDeliver {
+		t.Fatalf("report spans %+v, want the local recv and deliver", gotSpans)
 	}
 
 	// Local-origin outcomes must NOT fire the reporter.
@@ -227,6 +230,115 @@ func TestReporterFiresForRemoteOrigin(t *testing.T) {
 	tr.Outcome(lid, KindDeliver, "alice", 1, time.Now(), time.Millisecond, "")
 	if gotPub != "" {
 		t.Fatal("reporter fired for local-origin publication")
+	}
+}
+
+// TestReportsCarryEachSpanOnce chains three tracers b3→b2→b1 through
+// their reporters and gives b3 n deliver outcomes: the spans crossing
+// each hop are exactly the spans recorded below it, linear in n, and
+// the origin ends up holding every span once.
+func TestReportsCarryEachSpanOnce(t *testing.T) {
+	const n = 20
+	b1, b2, b3 := New(Config{Broker: "b1"}), New(Config{Broker: "b2"}), New(Config{Broker: "b3"})
+	var up2, up1 int // spans crossing b3→b2 and b2→b1
+	b3.SetReporter(func(pubID, upstream string, spans []Span) {
+		if upstream != "b2" {
+			t.Errorf("b3 reported to %q, want b2", upstream)
+		}
+		up2 += len(spans)
+		b2.Merge(pubID, spans)
+	})
+	b2.SetReporter(func(pubID, upstream string, spans []Span) {
+		if upstream != "b1" {
+			t.Errorf("b2 reported to %q, want b1", upstream)
+		}
+		up1 += len(spans)
+		b1.Merge(pubID, spans)
+	})
+
+	id := b1.NewPubID()
+	b1.StampLocal(id, time.Now())
+	b1.Observe(id, KindPublish, time.Now(), time.Microsecond)
+	b2.StampRemote(id, "b1", b1.Forward(id, "b2", time.Now()), time.Now())
+	b3.StampRemote(id, "b2", b2.Forward(id, "b3", time.Now()), time.Now())
+	for i := 0; i < n; i++ {
+		b3.Outcome(id, KindDeliver, "s", uint64(i), time.Now(), time.Microsecond, "")
+	}
+
+	// b3 recorded recv + n delivers; b2 added its recv and forward.
+	if want := n + 1; up2 != want {
+		t.Fatalf("%d spans crossed b3→b2, want %d", up2, want)
+	}
+	if want := n + 3; up1 != want {
+		t.Fatalf("%d spans crossed b2→b1, want %d", up1, want)
+	}
+	spans := b1.Spans(id)
+	held := make(map[Span]bool, len(spans))
+	for _, s := range spans {
+		if held[s] {
+			t.Fatalf("origin holds %+v twice", s)
+		}
+		held[s] = true
+	}
+	if want := 2 + n + 3; len(spans) != want { // b1 publish + forward
+		t.Fatalf("origin holds %d spans, want %d", len(spans), want)
+	}
+	if got := b1.Stages().PublishToAck.Count; got != n {
+		t.Fatalf("publish_to_ack count = %d, want %d", got, n)
+	}
+}
+
+// TestReportWatermarkConcurrent drives Outcome (notify workers) and
+// Merge (the link reader) on one remote-origin trace at once: every
+// span the tracer holds beyond the carried ones is reported exactly
+// once.
+func TestReportWatermarkConcurrent(t *testing.T) {
+	tr := New(Config{Broker: "b2"})
+	var mu sync.Mutex
+	reported := make(map[Span]int)
+	tr.SetReporter(func(_, _ string, spans []Span) {
+		mu.Lock()
+		for _, s := range spans {
+			reported[s]++
+		}
+		mu.Unlock()
+	})
+	const id = "b1#e/1"
+	tr.StampRemote(id, "b1", []Span{{Broker: "b1", Seq: 1, Kind: KindPublish}}, time.Now())
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				tr.Outcome(id, KindDeliver, "s", uint64(i), time.Now(), time.Microsecond, "")
+			}
+		}()
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				tr.Merge(id, []Span{{Broker: "b3", Seq: uint64(g*100 + i), Kind: KindDeliver}})
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	held := tr.Spans(id)
+	if want := 1 + 1 + 800; len(held) != want { // carried, recv, outcomes + merges
+		t.Fatalf("tracer holds %d spans, want %d", len(held), want)
+	}
+	for _, s := range held {
+		want := 1
+		if s.Broker == "b1" {
+			want = 0 // carried: upstream holds it
+		}
+		if n := reported[s]; n != want {
+			t.Fatalf("span %+v reported %d times, want %d", s, n, want)
+		}
+	}
+	if len(reported) != len(held)-1 {
+		t.Fatalf("reported %d distinct spans, want %d", len(reported), len(held)-1)
 	}
 }
 
