@@ -1065,58 +1065,3 @@ func BenchmarkPlanCache(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkExpansionLRU is the repeated-event-shape publish benchmark:
-// real feeds publish the same shapes constantly, and the warm case
-// serves the semantic expansion from the engine's LRU instead of
-// re-running the synonym/hierarchy/mapping stages per publication.
-func BenchmarkExpansionLRU(b *testing.B) {
-	// Expansion-heavy shape: deep concept trees, long mapping chains and
-	// near-certain synonym/concept usage make the semantic stage the
-	// dominant cost, which is precisely the regime the LRU targets
-	// (matching cost is identical warm and cold — the cached expansion
-	// still gets matched).
-	gen, err := workload.New(workload.Config{
-		Seed: 77, SynonymProb: 0.95, ConceptProb: 0.9,
-		ConceptTrees: 6, ConceptDepth: 6, ConceptFanout: 3,
-		MappingChains: 4, ChainLength: 8,
-		PairsMin: 8, PairsMax: 12,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	subs := gen.Subscriptions(500)
-	shapes := gen.Events(64) // well inside the default LRU capacity
-	for i := range shapes {  // every shape also triggers a mapping chain
-		shapes[i].Add(fmt.Sprintf("chain%d-hop0", i%4), message.Int(0))
-	}
-	for _, tc := range []struct {
-		name string
-		cap  int
-	}{
-		{"warm", core.DefaultExpansionCacheSize},
-		{"cold", 0},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			eng := core.NewEngine(gen.KB().Stage(semantic.FullConfig()),
-				core.WithExpansionCache(tc.cap))
-			for _, s := range subs {
-				if err := eng.Subscribe(s); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, e := range shapes { // pre-warm the cache
-				if _, err := eng.Publish(e); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Publish(shapes[i%len(shapes)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -109,7 +109,6 @@ func main() {
 	matcherName := flag.String("matcher", "counting", "matching algorithm: naive, counting, cluster or tree")
 	modeName := flag.String("mode", "semantic", "initial mode: semantic or syntactic")
 	snapshot := flag.String("snapshot", "", "snapshot file: restored on start if present, written on shutdown")
-	expansionCache := flag.Int("expansion-cache", core.DefaultExpansionCacheSize, "semantic expansion LRU capacity in event shapes, invalidated precisely by knowledge deltas (0 disables memoization)")
 	nodeName := flag.String("node", "", "overlay node name (default: the -addr value)")
 	overlayAddr := flag.String("overlay", "", "overlay TCP listen address for peer brokers (empty: no listener)")
 	flag.Var(&peers, "peer", "overlay peer address to connect to (repeatable)")
@@ -150,11 +149,10 @@ func main() {
 		fatal("stopss-server: -journal-segment-bytes must be positive", "bytes", *journalSegBytes)
 	}
 	opts := stackOptions{
-		Addr:           *addr,
-		Ontology:       *ontPath,
-		Matcher:        *matcherName,
-		ExpansionCache: *expansionCache,
-		Mode:           *modeName,
+		Addr:     *addr,
+		Ontology: *ontPath,
+		Matcher:  *matcherName,
+		Mode:     *modeName,
 	}
 	// The flag's "0 = off" maps to the journal's negative sentinel (its
 	// own zero value means "default granularity").
@@ -195,8 +193,6 @@ type stackOptions struct {
 	Ontology string
 	Matcher  string
 	Mode     string
-	// ExpansionCache is the semantic expansion LRU capacity (0 = off).
-	ExpansionCache int
 }
 
 // buildStack assembles engine, notifier and broker — everything the
@@ -232,7 +228,7 @@ func buildStack(opts stackOptions) (*broker.Broker, *notify.Engine, error) {
 	// swap in coherently.
 	base := knowledge.NewBase(ont.Synonyms, ont.Hierarchy, ont.Mappings)
 	engine := core.NewEngine(base.Stage(semantic.FullConfig()), core.WithMatcher(m), core.WithMode(mode),
-		core.WithKnowledge(base), core.WithExpansionCache(opts.ExpansionCache))
+		core.WithKnowledge(base))
 
 	notifier, err := notify.NewEngine(notify.Config{Workers: 8},
 		notify.NewTCPTransport(0),

@@ -15,9 +15,8 @@ import (
 
 // newDifferentialEngine builds an engine over a private knowledge base
 // (cloned from the generator's genesis structures, so every engine folds
-// the same delta stream independently) with the given matcher and
-// expansion-cache capacity.
-func newDifferentialEngine(t *testing.T, gen *workload.Generator, alg string, cacheCap int) *Engine {
+// the same delta stream independently) with the given matcher.
+func newDifferentialEngine(t *testing.T, gen *workload.Generator, alg string) *Engine {
 	t.Helper()
 	m, err := matching.New(alg)
 	if err != nil {
@@ -26,18 +25,17 @@ func newDifferentialEngine(t *testing.T, gen *workload.Generator, alg string, ca
 	kb := gen.KB()
 	base := knowledge.NewBase(kb.Synonyms.Clone(), kb.Hierarchy.Clone(), kb.Mappings.Clone())
 	return NewEngine(base.Stage(semantic.FullConfig()),
-		WithMatcher(m), WithKnowledge(base), WithExpansionCache(cacheCap))
+		WithMatcher(m), WithKnowledge(base))
 }
 
 // TestDifferentialOptimizedPipelineMatchesNaive is the safety net for
 // the whole optimizer stack: every optimized engine (plan cache +
-// predicate pushdown + expansion LRU, one per matching algorithm) must
-// produce exactly the match sets of a reference engine running the
-// Naive matcher with memoization disabled — across randomized
-// subscriptions, repeated event shapes (cache-hit path), and knowledge
-// deltas injected mid-stream (both the precise synonym invalidation and
-// the hierarchy/concept flush paths). A stale cache entry, a plan
-// ordered into wrongness, or an over-shared compiled plan all surface
+// predicate pushdown, one per matching algorithm) must produce exactly
+// the match sets of a reference engine running the Naive matcher —
+// across randomized subscriptions, repeated event shapes, and knowledge
+// deltas injected mid-stream (synonym, is-a and concept deltas). A plan
+// ordered into wrongness, an over-shared compiled plan, or a
+// subscription left indexed under a stale canonical form all surface
 // here as a match-set divergence.
 func TestDifferentialOptimizedPipelineMatchesNaive(t *testing.T) {
 	for _, seed := range []int64{11, 12, 13} {
@@ -50,15 +48,13 @@ func TestDifferentialOptimizedPipelineMatchesNaive(t *testing.T) {
 				t.Fatal(err)
 			}
 			subs := gen.Subscriptions(300)
-			shapes := gen.Events(60) // few shapes, many publishes → cache hits
+			shapes := gen.Events(60) // few shapes, many publishes
 
-			// Reference: no plan sharing across algorithms, no memoized
-			// expansions — every publication runs the full pipeline.
-			ref := newDifferentialEngine(t, gen, "naive", 0)
+			// Reference: the naive matcher, no plans to share.
+			ref := newDifferentialEngine(t, gen, "naive")
 			engines := []*Engine{ref}
 			for _, alg := range matching.Algorithms() {
-				// Tiny capacity so eviction and re-fill paths run too.
-				engines = append(engines, newDifferentialEngine(t, gen, alg, 32))
+				engines = append(engines, newDifferentialEngine(t, gen, alg))
 			}
 			for _, e := range engines {
 				for _, s := range subs {
@@ -75,19 +71,19 @@ func TestDifferentialOptimizedPipelineMatchesNaive(t *testing.T) {
 				d := knowledge.Delta{Origin: "difftest", Epoch: "e1", Seq: seq}
 				switch seq % 3 {
 				case 0:
-					// Precise invalidation path: alias one generated string
-					// value to another, changing the canonical form of
-					// events and subscriptions that mention it as written.
+					// Alias one generated string value to another,
+					// changing the canonical form of events and
+					// subscriptions that mention it as written.
 					d.Op = knowledge.OpAddSynonym
 					d.Root = fmt.Sprintf("attr%02d-val%03d", 4+seq%3, seq%4)
 					d.Terms = []string{fmt.Sprintf("attr%02d-val%03d", 4+seq%3, 5+seq%5)}
 				case 1:
-					// Flush path: new is-a edge between generated values.
+					// New is-a edge between generated values.
 					d.Op = knowledge.OpAddIsA
 					d.Child = fmt.Sprintf("attr%02d-val%03d", 5+seq%2, 10+seq)
 					d.Parent = fmt.Sprintf("attr%02d-val%03d", 5+seq%2, seq%3)
 				default:
-					// Flush path: fresh concept node.
+					// Fresh concept node.
 					d.Op = knowledge.OpAddConcept
 					d.Term = fmt.Sprintf("difftest-concept-%d", seq)
 				}
@@ -123,45 +119,35 @@ func TestDifferentialOptimizedPipelineMatchesNaive(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got.Matches, want.Matches) {
-						t.Fatalf("step %d: %s disagrees with uncached naive\n got %v\nwant %v\nevent %v",
+						t.Fatalf("step %d: %s disagrees with naive\n got %v\nwant %v\nevent %v",
 							step, e.MatcherName(), got.Matches, want.Matches, ev)
 					}
 				}
 			}
 
-			// The run must actually have exercised the optimizer paths it
+			// The run must actually have exercised the plan cache it
 			// claims to cover, or the equivalence above proves nothing.
 			for _, e := range engines[1:] {
-				st := e.Stats()
-				if st.ExpansionHits == 0 {
-					t.Errorf("%s: expansion cache never hit", e.MatcherName())
-				}
-				if st.ExpansionInvalidated == 0 {
-					t.Errorf("%s: knowledge deltas never invalidated cached expansions", e.MatcherName())
-				}
-				if st.PlanCacheHits == 0 {
+				if e.Stats().PlanCacheHits == 0 {
 					t.Errorf("%s: plan cache never shared a compiled plan", e.MatcherName())
 				}
-			}
-			if st := ref.Stats(); st.ExpansionHits != 0 || st.ExpansionSize != 0 {
-				t.Errorf("reference engine memoized expansions despite WithExpansionCache(0): %+v", st)
 			}
 		})
 	}
 }
 
 // TestDifferentialConcurrentPublishAndKnowledge drives publishers and a
-// knowledge-delta writer against one cached engine at once. Correctness
-// of the interleaving is covered by the sequential differential test;
-// this one exists to run under -race: the expansion cache, the stage
-// version stamp, and the plan cache must tolerate publish/apply
-// concurrency without data races.
+// knowledge-delta writer against one engine at once. Correctness of the
+// interleaving is covered by the sequential differential test; this one
+// exists to run under -race: the stage snapshot swap, the re-index and
+// the plan cache must tolerate publish/apply concurrency without data
+// races.
 func TestDifferentialConcurrentPublishAndKnowledge(t *testing.T) {
 	gen, err := workload.New(workload.Config{Seed: 41, SynonymProb: 0.7, ConceptProb: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := newDifferentialEngine(t, gen, "counting", 64)
+	eng := newDifferentialEngine(t, gen, "counting")
 	for _, s := range gen.Subscriptions(150) {
 		if err := eng.Subscribe(s); err != nil {
 			t.Fatal(err)

@@ -89,18 +89,14 @@ type Stats struct {
 
 	// Query-optimizer observability (DESIGN.md §12). Plan-cache counters
 	// come from the matcher (compiled subscription plans shared across
-	// duplicates); expansion counters from the engine's semantic-
-	// expansion LRU; InternedTerms is the size of the process-wide
+	// duplicates); InternedTerms is the size of the process-wide
 	// string-intern table.
-	PlanCacheHits        uint64
-	PlanCacheMisses      uint64
-	PlansCached          int
-	ExpansionHits        uint64
-	ExpansionMisses      uint64
-	ExpansionEvictions   uint64
-	ExpansionInvalidated uint64
-	ExpansionSize        int
-	InternedTerms        int
+	PlanCacheHits   uint64
+	PlanCacheMisses uint64
+	PlansCached     int
+	InternedTerms   int
+
+	benchCompatStats // deprecated, always-0 counters (benchcompat.go)
 }
 
 // PubSub is the engine surface the broker (and everything above it)
@@ -148,16 +144,6 @@ type Engine struct {
 	// by mu (the union runs under the write lock); only a right-sized
 	// copy of the deduped result ever escapes.
 	matchScratch []message.SubID
-
-	// expCache memoizes semantic-expansion results by event signature
-	// (nil when disabled). stageVersion is the stage snapshot version
-	// the cache contents were computed under; Publish flushes on
-	// mismatch, which catches out-of-band stage mutations (SetConfig,
-	// ontology Replace) that bypass ApplyKnowledge's precise
-	// invalidation. Both guarded by mu.
-	expCache     *ExpansionCache
-	expCap       int
-	stageVersion uint64
 }
 
 // Option configures an Engine.
@@ -181,12 +167,6 @@ func WithKnowledge(b *knowledge.Base) Option {
 	return func(e *Engine) { e.kb = b }
 }
 
-// WithExpansionCache sets the semantic-expansion LRU capacity; n <= 0
-// disables memoization. Default: DefaultExpansionCacheSize.
-func WithExpansionCache(n int) Option {
-	return func(e *Engine) { e.expCap = n }
-}
-
 // NewEngine builds an engine over the given semantic stage. A nil stage
 // yields an engine with an empty knowledge base (still valid: it simply
 // never rewrites or expands anything).
@@ -199,13 +179,10 @@ func NewEngine(stage *semantic.Stage, opts ...Option) *Engine {
 		matcher:   matching.NewCounting(),
 		mode:      Semantic,
 		originals: make(map[message.SubID]message.Subscription),
-		expCap:    DefaultExpansionCacheSize,
 	}
 	for _, o := range opts {
 		o(e)
 	}
-	e.expCache = NewExpansionCache(e.expCap)
-	e.stageVersion = e.stage.Version()
 	return e
 }
 
@@ -360,7 +337,9 @@ type MatchResult struct {
 }
 
 // Publish runs a publication through the pipeline and returns every
-// matching subscription.
+// matching subscription. In semantic mode the stage expands the event
+// once per publication, under the lock that also excludes knowledge
+// updates, so the expansion always reflects the current stage.
 func (e *Engine) Publish(ev message.Event) (MatchResult, error) {
 	if err := ev.Validate(); err != nil {
 		return MatchResult{}, err
@@ -373,7 +352,7 @@ func (e *Engine) Publish(ev message.Event) (MatchResult, error) {
 
 	if e.mode == Semantic {
 		t0 := time.Now()
-		res.Expansion = e.expandLocked(ev)
+		res.Expansion = e.stage.ProcessEvent(ev)
 		res.SemanticTime = time.Since(t0)
 		e.stats.SemanticTime += res.SemanticTime
 		e.stats.DerivedEvents += uint64(len(res.Expansion.Events))
@@ -397,29 +376,6 @@ func (e *Engine) Publish(ev message.Event) (MatchResult, error) {
 	e.stats.MatchTime += res.MatchTime
 	e.stats.Matches += uint64(len(res.Matches))
 	return res, nil
-}
-
-// expandLocked runs the semantic stage on a publication, memoized
-// through the expansion LRU when enabled. A stage version mismatch
-// (out-of-band SetConfig or ontology Replace) flushes the cache before
-// the probe; ApplyKnowledge invalidates precisely and re-stamps the
-// version itself, so the common knowledge path never flushes here.
-// Callers hold e.mu for writing.
-func (e *Engine) expandLocked(ev message.Event) semantic.Result {
-	if e.expCache == nil {
-		return e.stage.ProcessEvent(ev)
-	}
-	if v := e.stage.Version(); v != e.stageVersion {
-		e.expCache.Flush()
-		e.stageVersion = v
-	}
-	sig := ev.Signature()
-	if res, ok := e.expCache.Get(sig); ok {
-		return res
-	}
-	res := e.stage.ProcessEvent(ev)
-	e.expCache.Put(sig, res, eventTerms(ev))
-	return res
 }
 
 // unionMatchesLocked matches every derived event and returns the
@@ -463,17 +419,10 @@ func (e *Engine) Stats() Stats {
 	s.Subscriptions = e.matcher.Size()
 	ps := e.matcher.PlanStats()
 	kb := e.kb
-	expCache := e.expCache
 	e.mu.RUnlock()
 	s.PlanCacheHits = ps.Hits
 	s.PlanCacheMisses = ps.Misses
 	s.PlansCached = ps.Cached
-	es := expCache.Stats()
-	s.ExpansionHits = es.Hits
-	s.ExpansionMisses = es.Misses
-	s.ExpansionEvictions = es.Evictions
-	s.ExpansionInvalidated = es.Invalidated
-	s.ExpansionSize = es.Size
 	s.InternedTerms = message.InternedTerms()
 	if kb != nil {
 		v := kb.Version()

@@ -64,31 +64,11 @@ func (e *Engine) ApplyKnowledge(d knowledge.Delta) (KnowledgeReport, error) {
 		return rep, nil
 	}
 	e.stage.Replace(out.Synonyms, out.Hierarchy, out.Mappings)
-	e.invalidateExpansionsLocked(d, out.Refolded, out.Affected)
 	rep.Reindexed, rep.FullReindex, err = e.reindexKnowledgeLocked(out.Affected, false)
 	if err != nil {
 		return rep, err
 	}
 	return rep, nil
-}
-
-// invalidateExpansionsLocked drops the memoized expansions a knowledge
-// change could have altered and re-stamps the validated stage version so
-// the next Publish does not flush redundantly. An in-order synonym delta
-// changes expansions only for events mentioning an affected term — the
-// same raw-term argument that scopes subscription re-indexing — so it
-// invalidates precisely. Everything else (hierarchy or mapping deltas,
-// which restructure the expansion stages; refolds, which may flip the
-// outcome of any logged delta) flushes the cache. Callers hold e.mu.
-func (e *Engine) invalidateExpansionsLocked(d knowledge.Delta, refolded bool, affected []string) {
-	if e.expCache != nil {
-		if d.Op == knowledge.OpAddSynonym && !refolded {
-			e.expCache.InvalidateTerms(affected)
-		} else {
-			e.expCache.Flush()
-		}
-	}
-	e.stageVersion = e.stage.Version()
 }
 
 // ReindexKnowledge re-indexes the subscriptions whose original form

@@ -2,6 +2,7 @@ package notify
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -10,13 +11,28 @@ import (
 
 // TCPTransport delivers newline-delimited JSON notifications over TCP.
 // Connections are cached per destination and re-dialed transparently
-// after failures (the retry loop of the engine then re-sends).
+// after failures (the retry loop of the engine then re-sends). Each
+// destination dials and writes under its own lock, so a subscriber that
+// stops reading stalls only the sends addressed to it.
 type TCPTransport struct {
 	dialTimeout time.Duration
 
-	mu    sync.Mutex
-	conns map[string]net.Conn
+	mu     sync.Mutex // guards dests, closed and every tcpDest.conn write; held for no I/O
+	dests  map[string]*tcpDest
+	closed bool
 }
+
+// tcpDest is one destination's cached connection. mu serialises the
+// dial and the writes to it. conn changes only under both mu and the
+// transport's mu, so Close can read it without waiting for a stalled
+// write, and closing it unblocks that write.
+type tcpDest struct {
+	mu   sync.Mutex
+	conn net.Conn
+}
+
+// errTCPClosed reports a Send on a closed transport.
+var errTCPClosed = errors.New("notify/tcp: transport closed")
 
 // NewTCPTransport returns a TCP transport with the given dial timeout
 // (<=0 selects 2s).
@@ -24,7 +40,7 @@ func NewTCPTransport(dialTimeout time.Duration) *TCPTransport {
 	if dialTimeout <= 0 {
 		dialTimeout = 2 * time.Second
 	}
-	return &TCPTransport{dialTimeout: dialTimeout, conns: make(map[string]net.Conn)}
+	return &TCPTransport{dialTimeout: dialTimeout, dests: make(map[string]*tcpDest)}
 }
 
 // Name implements Transport.
@@ -39,35 +55,70 @@ func (t *TCPTransport) Send(addr string, n Notification) error {
 	b = append(b, '\n')
 
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	conn := t.conns[addr]
-	if conn == nil {
-		conn, err = net.DialTimeout("tcp", addr, t.dialTimeout)
+	if t.closed {
+		t.mu.Unlock()
+		return errTCPClosed
+	}
+	d := t.dests[addr]
+	if d == nil {
+		d = &tcpDest{}
+		t.dests[addr] = d
+	}
+	t.mu.Unlock()
+
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.conn == nil {
+		conn, err := net.DialTimeout("tcp", addr, t.dialTimeout)
 		if err != nil {
 			return fmt.Errorf("notify/tcp: dial %s: %w", addr, err)
 		}
-		t.conns[addr] = conn
+		if !t.setConn(d, conn) {
+			conn.Close()
+			return errTCPClosed
+		}
 	}
-	if _, err := conn.Write(b); err != nil {
-		// Connection went stale: drop it so the retry re-dials.
+	if _, err := d.conn.Write(b); err != nil {
+		// Connection went stale (or Close shut it): drop it so the
+		// retry re-dials.
+		conn := d.conn
+		t.setConn(d, nil)
 		conn.Close()
-		delete(t.conns, addr)
 		return fmt.Errorf("notify/tcp: write to %s: %w", addr, err)
 	}
 	return nil
 }
 
-// Close implements Transport.
+// setConn installs conn as d's connection, or forgets it when conn is
+// nil. It refuses a new connection once the transport is closed, so a
+// Send racing Close cannot leave one open. Callers hold d.mu.
+func (t *TCPTransport) setConn(d *tcpDest, conn net.Conn) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed && conn != nil {
+		return false
+	}
+	d.conn = conn
+	return true
+}
+
+// Close implements Transport. It closes every cached connection, which
+// also unblocks a Send stuck writing to a peer that stopped reading;
+// later Sends fail.
 func (t *TCPTransport) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.closed = true
 	var firstErr error
-	for addr, c := range t.conns {
-		if err := c.Close(); err != nil && firstErr == nil {
+	for _, d := range t.dests {
+		if d.conn == nil {
+			continue
+		}
+		if err := d.conn.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		delete(t.conns, addr)
 	}
+	t.dests = nil
 	return firstErr
 }
 

@@ -13,7 +13,7 @@ import (
 // Cluster introspection gossip (DESIGN §10). Each node periodically —
 // and on every link (re)establishment — floods a compact summary of
 // its own health: link backpressure, journal head/floor, store
-// residency, knowledge version, cache hit rates, process vitals. The
+// residency, knowledge version, process vitals. The
 // summaries ride the same hop-list/dedup flood machinery as
 // publications (dedup key "ops|origin#epoch/seq"), so every broker
 // converges on an eventually-consistent view of the whole federation
@@ -71,10 +71,6 @@ type OpsSummary struct {
 
 	KBVersion string `json:"kb_version,omitempty"`
 	KBDeltas  uint64 `json:"kb_deltas,omitempty"`
-
-	// ExpansionHitRate is the semantic expansion cache's hit fraction
-	// in [0,1]; -1 when the cache has seen no traffic.
-	ExpansionHitRate float64 `json:"expansion_hit_rate"`
 
 	Goroutines int64  `json:"goroutines"`
 	HeapBytes  uint64 `json:"heap_bytes"`
@@ -152,11 +148,6 @@ func (n *Node) buildOps() OpsSummary {
 	if st.StoreEnabled {
 		s.StoreResident = st.Store.Resident
 		s.StorePages = st.Store.Pages
-	}
-	if hits, misses := st.Engine.ExpansionHits, st.Engine.ExpansionMisses; hits+misses > 0 {
-		s.ExpansionHitRate = float64(hits) / float64(hits+misses)
-	} else {
-		s.ExpansionHitRate = -1
 	}
 	n.mu.Lock()
 	s.Links = make([]OpsLink, 0, len(n.links))

@@ -82,6 +82,6 @@ func benchOpsFrame() Frame {
 			JournalHead: 1 << 20, JournalFloor: 4096, RetentionLost: 16,
 			StoreResident: 448, StorePages: 1024,
 			KBVersion: "a1b2c3d4", KBDeltas: 42,
-			ExpansionHitRate: 0.93, Goroutines: 87, HeapBytes: 64 << 20,
+			Goroutines: 87, HeapBytes: 64 << 20,
 		}}
 }

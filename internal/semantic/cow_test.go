@@ -7,21 +7,28 @@ import (
 	"stopss/internal/message"
 )
 
-// TestSetConfigConcurrentWithProcessEvent is the regression test for a
-// latent race on the stage snapshot: one stage is read by every
-// publisher expanding events (and by overlay routing) while SetConfig
-// swaps it, and config writes used to be plain field assignments. Run
-// with -race.
-func TestSetConfigConcurrentWithProcessEvent(t *testing.T) {
-	syn := NewSynonyms()
-	if err := syn.AddGroup("position", "job"); err != nil {
+// TestReplaceConcurrentWithProcessEvent runs readers of one stage —
+// publishers expanding events, the engine canonicalizing subscriptions,
+// overlay routing reading the config — while Replace, the production
+// swap path, alternates between two knowledge sets. Run with -race.
+func TestReplaceConcurrentWithProcessEvent(t *testing.T) {
+	synA := NewSynonyms()
+	if err := synA.AddGroup("position", "job"); err != nil {
 		t.Fatal(err)
 	}
-	hier := NewHierarchy()
-	if err := hier.AddIsA("sedan", "car"); err != nil {
+	hierA := NewHierarchy()
+	if err := hierA.AddIsA("sedan", "car"); err != nil {
 		t.Fatal(err)
 	}
-	st := NewStage(syn, hier, nil, FullConfig())
+	synB := NewSynonyms()
+	if err := synB.AddGroup("role", "job"); err != nil {
+		t.Fatal(err)
+	}
+	hierB := NewHierarchy()
+	if err := hierB.AddIsA("sedan", "vehicle"); err != nil {
+		t.Fatal(err)
+	}
+	st := NewStage(synA, hierA, nil, FullConfig())
 
 	ev := message.E("job", "dev", "sedan", "x")
 	sub := message.NewSubscription(1, "c", message.Pred("job", message.OpEq, message.String("dev")))
@@ -43,18 +50,21 @@ func TestSetConfigConcurrentWithProcessEvent(t *testing.T) {
 					t.Error("ProcessEvent returned no events")
 					return
 				}
-				st.ProcessSubscription(sub)
+				out, _ := st.ProcessSubscription(sub)
+				if a := out.Preds[0].Attr; a != "position" && a != "role" {
+					t.Errorf("subscription canonicalized to %q, want position or role", a)
+					return
+				}
 				_ = st.Config()
 			}
 		}()
 	}
 	for i := 0; i < 200; i++ {
-		cfg := FullConfig()
 		if i%2 == 0 {
-			cfg = Config{Synonyms: true}
+			st.Replace(synB, hierB, nil)
+		} else {
+			st.Replace(synA, hierA, nil)
 		}
-		cfg.MaxGeneralization = i % 3
-		st.SetConfig(cfg)
 	}
 	close(stop)
 	wg.Wait()

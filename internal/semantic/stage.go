@@ -68,19 +68,13 @@ func SyntacticConfig() Config { return Config{} }
 // knowledge structures plus the configuration) lives behind one
 // atomically swapped snapshot. Readers (ProcessEvent,
 // ProcessSubscription) load the snapshot once and therefore never
-// observe a half-applied knowledge update or configuration change;
-// writers (SetConfig, Replace) install a fresh snapshot under a writer
-// lock. The structures inside a snapshot are treated as immutable:
-// knowledge updates clone-and-swap (internal/knowledge), they never
-// mutate in place.
+// observe a half-applied knowledge update; Replace, the one writer,
+// installs a fresh snapshot under a writer lock. The structures inside
+// a snapshot are treated as immutable: knowledge updates clone-and-swap
+// (internal/knowledge), they never mutate in place.
 type Stage struct {
 	wmu  sync.Mutex // serializes writers; readers only load snap
 	snap atomic.Pointer[stageSnap]
-	// version counts snapshot installs. Expansion memoizers key their
-	// validity on it: any snapshot swap — knowledge update, ontology
-	// replace, config change — bumps it, so a cached expansion is valid
-	// exactly while the version it was computed under is current.
-	version atomic.Uint64
 }
 
 // stageSnap is one immutable view of the stage.
@@ -106,13 +100,8 @@ func NewStage(syn *Synonyms, hier *Hierarchy, maps *Mappings, cfg Config) *Stage
 	}
 	st := &Stage{}
 	st.snap.Store(&stageSnap{syn: syn, hier: hier, maps: maps, cfg: cfg})
-	st.version.Store(1)
 	return st
 }
-
-// Version reports the current snapshot version; it changes on every
-// SetConfig or Replace.
-func (st *Stage) Version() uint64 { return st.version.Load() }
 
 // load returns the current snapshot (never nil).
 func (st *Stage) load() *stageSnap { return st.snap.Load() }
@@ -130,18 +119,6 @@ func (st *Stage) Mappings() *Mappings { return st.load().maps }
 
 // Config returns the stage configuration.
 func (st *Stage) Config() Config { return st.load().cfg }
-
-// SetConfig replaces the configuration (used by the web app's mode
-// switch and the loss-tolerance endpoint). The swap is atomic: an
-// in-flight ProcessEvent finishes under the configuration it started
-// with.
-func (st *Stage) SetConfig(cfg Config) {
-	st.wmu.Lock()
-	defer st.wmu.Unlock()
-	cur := st.load()
-	st.snap.Store(&stageSnap{syn: cur.syn, hier: cur.hier, maps: cur.maps, cfg: cfg})
-	st.version.Add(1)
-}
 
 // Replace atomically installs new knowledge structures, keeping the
 // current configuration. Nil arguments keep the corresponding current
@@ -162,7 +139,6 @@ func (st *Stage) Replace(syn *Synonyms, hier *Hierarchy, maps *Mappings) {
 		maps = cur.maps
 	}
 	st.snap.Store(&stageSnap{syn: syn, hier: hier, maps: maps, cfg: cur.cfg})
-	st.version.Add(1)
 }
 
 // Result reports what the semantic stage did to one publication.

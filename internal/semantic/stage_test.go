@@ -370,18 +370,6 @@ func TestStageInputNotMutated(t *testing.T) {
 	}
 }
 
-func TestStageSetConfig(t *testing.T) {
-	st := jobStage(t, SyntacticConfig())
-	st.SetConfig(FullConfig())
-	if !st.Config().Synonyms {
-		t.Error("SetConfig did not take effect")
-	}
-	res := st.ProcessEvent(message.E("school", "Toronto"))
-	if !res.Events[0].Has("university") {
-		t.Error("stage did not switch to semantic mode")
-	}
-}
-
 func TestStageStringSummary(t *testing.T) {
 	st := jobStage(t, FullConfig())
 	if s := st.String(); !strings.Contains(s, "funcs") {

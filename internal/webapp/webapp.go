@@ -26,8 +26,8 @@
 //	POST /api/v1/explain       {"id":1,"event":"..."} → why (not) matched
 //	GET  /api/v1/mode          → {"mode":"semantic"}
 //	POST /api/v1/mode          {"mode":"syntactic"}
-//	GET  /api/v1/stats         → broker and engine counters (incl. plan-cache,
-//	                             expansion-LRU and intern-table gauges)
+//	GET  /api/v1/stats         → broker and engine counters (incl. plan-cache
+//	                             and intern-table gauges)
 //	GET  /api/v1/clients       → registered client names
 //	GET  /api/v1/subscriptions?client=acme → the client's subscriptions
 //	GET  /api/v1/snapshot      → durable broker state as JSON lines
@@ -712,7 +712,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Query-optimizer gauges (plan cache, expansion LRU, intern table)
+	// Query-optimizer gauges (plan cache, intern table)
 	// live in engine stats, not a long-lived registry: snapshot them
 	// into a scratch registry per scrape so they render with the same
 	// formatting and labels as everything else.
@@ -721,11 +721,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	opt.Counter("plan_cache_hits").Add(st.PlanCacheHits)
 	opt.Counter("plan_cache_misses").Add(st.PlanCacheMisses)
 	opt.Gauge("plans_cached").Set(int64(st.PlansCached))
-	opt.Counter("expansion_cache_hits").Add(st.ExpansionHits)
-	opt.Counter("expansion_cache_misses").Add(st.ExpansionMisses)
-	opt.Counter("expansion_cache_evictions").Add(st.ExpansionEvictions)
-	opt.Counter("expansion_cache_invalidated").Add(st.ExpansionInvalidated)
-	opt.Gauge("expansion_cache_size").Set(int64(st.ExpansionSize))
 	opt.Gauge("interned_terms").Set(int64(st.InternedTerms))
 	if err := opt.WritePrometheus(w, "stopss_optimizer", labels); err != nil {
 		return
