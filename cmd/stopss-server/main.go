@@ -6,7 +6,7 @@
 // Usage:
 //
 //	stopss-server -addr :8080
-//	stopss-server -ontology my-domain.odl -matcher cluster -mode syntactic
+//	stopss-server -ontology my-domain.odl -matcher tree -mode syntactic
 //	stopss-server -addr :8081 -node b1 -overlay 127.0.0.1:7001
 //	stopss-server -addr :8082 -node b2 -overlay 127.0.0.1:7002 -peer 127.0.0.1:7001
 //	stopss-server -addr :8080 -log-format json -log-level debug
@@ -106,7 +106,7 @@ func main() {
 	var peers peerList
 	addr := flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
 	ontPath := flag.String("ontology", "", "ODL ontology file (default: embedded job-finder domain)")
-	matcherName := flag.String("matcher", "counting", "matching algorithm: naive, counting, cluster or tree")
+	matcherName := flag.String("matcher", "counting", "matching algorithm: naive, counting or tree")
 	modeName := flag.String("mode", "semantic", "initial mode: semantic or syntactic")
 	snapshot := flag.String("snapshot", "", "snapshot file: restored on start if present, written on shutdown")
 	nodeName := flag.String("node", "", "overlay node name (default: the -addr value)")

@@ -72,7 +72,7 @@ func TestServerStackEndToEnd(t *testing.T) {
 	}
 	f.Close()
 
-	b2, notifier2, err := buildStack(stackOptions{Addr: "127.0.0.1:0", Matcher: "cluster", Mode: "semantic"})
+	b2, notifier2, err := buildStack(stackOptions{Addr: "127.0.0.1:0", Matcher: "tree", Mode: "semantic"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestServerStackEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Matches) != 1 {
-		t.Fatalf("restored stack (cluster matcher) matches = %v", res.Matches)
+		t.Fatalf("restored stack (tree matcher) matches = %v", res.Matches)
 	}
 }
 

@@ -6,7 +6,7 @@
 // reproduction laid out as a self-contained module):
 //
 //   - internal/message   — events, subscriptions, predicates
-//   - internal/matching  — naive / counting [1] / cluster [4] matchers
+//   - internal/matching  — naive / counting [1][4] / tree matchers
 //   - internal/semantic  — synonyms, concept hierarchy, mapping functions
 //   - internal/ontology  — the ODL ontology language and compiler
 //   - internal/core      — the S-ToPSS engine (Figure 1)

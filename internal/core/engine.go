@@ -11,7 +11,8 @@
 //
 // Engine is safe for concurrent use: matching state is guarded by a
 // read-write mutex (publications of distinct events still serialize on
-// the matcher, whose counter structures are single-writer by design).
+// the matcher, since a Match writes its epoch stamps into the shared
+// predicate entries and reuses per-matcher scratch buffers).
 package core
 
 import (

@@ -7,15 +7,21 @@ import (
 	"stopss/internal/message"
 )
 
-// Counting implements the counting algorithm of Aguilera, Strom, Sturman,
-// Astley and Chandra, "Matching events in a content-based subscription
-// system" (PODC 1999) — citation [1] of the S-ToPSS paper.
+// Counting matches by access predicate over a shared unique-predicate
+// index. It joins the two algorithms the S-ToPSS paper extends: the
+// counting algorithm of Aguilera, Strom, Sturman, Astley and Chandra,
+// "Matching events in a content-based subscription system" (PODC 1999),
+// citation [1], and the access-predicate clustering of Fabret, Jacobsen,
+// Llirbat, Pereira, Ross and Shasha, "Filtering algorithms and
+// implementation for very fast publish/subscribe systems" (SIGMOD 2001),
+// citation [4].
 //
-// Identical predicates appearing in many subscriptions are stored once
-// (unique-predicate table keyed by the predicate's canonical form; plans
-// arrive pre-deduplicated from the planner, so a subscription contributes
-// each distinct predicate exactly once). Per attribute — keyed by its
-// interned symbol — there is an operator-specific index:
+// As in counting, identical predicates appearing in many subscriptions
+// are stored once (unique-predicate table keyed by the predicate's
+// canonical form; plans arrive pre-deduplicated from the planner, so a
+// subscription holds each distinct predicate exactly once). Per
+// attribute — keyed by its interned symbol — there is an
+// operator-specific index:
 //
 //   - equality:  hash  value → predicates               (O(1) probe)
 //   - ordering:  sorted threshold arrays per operator   (binary search)
@@ -24,11 +30,16 @@ import (
 //   - the rest (≠, prefix/suffix/contains, non-numeric ordering) live in
 //     a per-attribute scan list evaluated directly.
 //
-// Matching an event walks its pairs, collects the satisfied unique
-// predicates from the indexes, and increments one counter per affected
-// subscription; a subscription matches when its counter reaches its
-// predicate count. Counters are reset lazily with an epoch stamp, so a
-// Match is O(satisfied predicates), not O(subscriptions).
+// As in Fabret's clustering, each subscription hangs off exactly one of
+// its predicates, its access predicate: the one of lowest operator cost
+// class (equality first), ties broken by the shortest access list, so
+// the lists stay balanced. Match runs in two phases. Phase 1 walks the
+// event's pairs through the indexes and stamps every satisfied unique
+// predicate with the Match's epoch. Phase 2 visits only the access lists
+// of satisfied predicates and checks each member's other slots by their
+// stamp. No predicate is evaluated twice and no per-subscription counter
+// is kept; a subscription whose access predicate failed is never
+// touched, and each subscription is checked at most once per Match.
 type Counting struct {
 	planner
 	preds     map[string]*cPred               // canonical form → unique predicate
@@ -38,6 +49,7 @@ type Counting struct {
 	plans     map[*Plan]*cPlan                // plan → its unique-predicate slots
 	epoch     uint64
 	evSyms    []message.Sym // per-Match scratch: event attribute symbols
+	hits      []*cPred      // per-Match scratch: satisfied predicates with access members
 }
 
 // cPlan is the counting matcher's compiled form of a shared Plan: the
@@ -50,19 +62,19 @@ type cPlan struct {
 
 type cPred struct {
 	pred    message.Predicate
-	sym     message.Sym             // interned attribute
-	subs    map[message.SubID]*cSub // subscriptions referencing this predicate
-	refs    int                     // total references (for removal bookkeeping)
-	hitAt   uint64                  // epoch of last satisfaction (per-event dedup)
-	ordered bool                    // tracked by a sorted threshold index
+	sym     message.Sym // interned attribute
+	access  []*cSub     // subscriptions whose access predicate this is
+	refs    int         // total references (for removal bookkeeping)
+	hitAt   uint64      // epoch of last satisfaction (per-event dedup)
+	ordered bool        // tracked by a sorted threshold index
 }
 
 type cSub struct {
-	id    message.SubID
-	plan  *Plan
-	need  int // number of predicate slots that must be satisfied
-	count int
-	seen  uint64 // epoch stamp for lazy counter reset
+	id     message.SubID
+	plan   *Plan
+	cpreds []*cPred // the plan's shared slots
+	access *cPred   // the slot whose access list holds this subscription
+	pos    int      // index in access.access
 }
 
 // attrIndex groups the per-attribute structures of the counting matcher.
@@ -167,7 +179,7 @@ func (m *Counting) Add(id message.SubID, p *Plan) error {
 			pp := &p.Preds()[i]
 			u := m.preds[pp.Canon]
 			if u == nil {
-				u = &cPred{pred: pp.Pred, sym: pp.Sym, subs: make(map[message.SubID]*cSub)}
+				u = &cPred{pred: pp.Pred, sym: pp.Sym}
 				m.preds[pp.Canon] = u
 				m.indexPredicate(u)
 			}
@@ -176,14 +188,27 @@ func (m *Counting) Add(id message.SubID, p *Plan) error {
 		m.plans[p] = cp
 	}
 	cp.refs++
-	cs := &cSub{id: id, plan: p, need: len(cp.cpreds)}
+	cs := &cSub{id: id, plan: p, cpreds: cp.cpreds}
 	for _, u := range cp.cpreds {
 		u.refs++
-		u.subs[id] = cs
+		if a := cs.access; a == nil || accessBefore(u, a) {
+			cs.access = u
+		}
 	}
+	cs.pos = len(cs.access.access)
+	cs.access.access = append(cs.access.access, cs)
 	m.subs[id] = cs
 	m.retain(p)
 	return nil
+}
+
+// accessBefore reports whether u makes a better access predicate than a:
+// a cheaper operator class, or the same class with a shorter access list.
+func accessBefore(u, a *cPred) bool {
+	if cu, ca := opClass(u.pred.Op), opClass(a.pred.Op); cu != ca {
+		return cu < ca
+	}
+	return len(u.access) < len(a.access)
 }
 
 // indexPredicate places a new unique predicate into the per-attribute
@@ -235,9 +260,15 @@ func (m *Counting) Remove(id message.SubID) bool {
 		return false
 	}
 	delete(m.subs, id)
+	// Swap-delete from the access list: the last member takes this slot.
+	a := cs.access
+	last := len(a.access) - 1
+	a.access[cs.pos] = a.access[last]
+	a.access[cs.pos].pos = cs.pos
+	a.access[last] = nil
+	a.access = a.access[:last]
 	cp := m.plans[cs.plan]
 	for _, u := range cp.cpreds {
-		delete(u.subs, id)
 		u.refs--
 		if u.refs == 0 {
 			m.unindexPredicate(u)
@@ -310,29 +341,24 @@ func (m *Counting) unindexPredicate(cp *cPred) {
 	}
 }
 
+// mark stamps a satisfied predicate with the current epoch and queues it
+// for phase 2 when some subscription uses it as its access predicate.
+func (m *Counting) mark(cp *cPred) {
+	if cp.hitAt == m.epoch {
+		return // predicate already satisfied by an earlier pair
+	}
+	cp.hitAt = m.epoch
+	if len(cp.access) > 0 {
+		m.hits = append(m.hits, cp)
+	}
+}
+
 // Match implements Matcher.
 func (m *Counting) Match(e message.Event, scratch []message.SubID) []message.SubID {
 	m.epoch++
-	out, start := scratch, len(scratch)
 	m.evSyms = m.evSyms[:0]
 
-	hit := func(cp *cPred) {
-		if cp.hitAt == m.epoch {
-			return // predicate already satisfied by an earlier pair
-		}
-		cp.hitAt = m.epoch
-		for _, cs := range cp.subs {
-			if cs.seen != m.epoch {
-				cs.seen = m.epoch
-				cs.count = 0
-			}
-			cs.count++
-			if cs.count == cs.need {
-				out = append(out, cs.id)
-			}
-		}
-	}
-
+	// Phase 1: stamp every satisfied unique predicate.
 	for _, pair := range e.Pairs() {
 		sym, ok := message.Interned(pair.Attr)
 		if !ok {
@@ -345,11 +371,11 @@ func (m *Counting) Match(e message.Event, scratch []message.SubID) []message.Sub
 		}
 		// Equality probe.
 		for _, cp := range ai.eq[pair.Val.Canonical()] {
-			hit(cp)
+			m.mark(cp)
 		}
 		// Existence.
 		for _, cp := range ai.exists {
-			hit(cp)
+			m.mark(cp)
 		}
 		// Ordering thresholds.
 		if x, ok := pair.Val.AsFloat(); ok {
@@ -360,22 +386,22 @@ func (m *Counting) Match(e message.Event, scratch []message.SubID) []message.Sub
 			// attr < t  satisfied for all t > x: suffix of sorted cuts.
 			from := sort.Search(len(ai.lt.cuts), func(i int) bool { return ai.lt.cuts[i] > x })
 			for _, cp := range ai.lt.preds[from:] {
-				hit(cp)
+				m.mark(cp)
 			}
 			// attr <= t satisfied for all t >= x.
 			from = sort.Search(len(ai.le.cuts), func(i int) bool { return ai.le.cuts[i] >= x })
 			for _, cp := range ai.le.preds[from:] {
-				hit(cp)
+				m.mark(cp)
 			}
 			// attr > t  satisfied for all t < x: prefix.
 			to := sort.Search(len(ai.gt.cuts), func(i int) bool { return ai.gt.cuts[i] >= x })
 			for _, cp := range ai.gt.preds[:to] {
-				hit(cp)
+				m.mark(cp)
 			}
 			// attr >= t satisfied for all t <= x.
 			to = sort.Search(len(ai.ge.cuts), func(i int) bool { return ai.ge.cuts[i] > x })
 			for _, cp := range ai.ge.preds[:to] {
-				hit(cp)
+				m.mark(cp)
 			}
 			// Intervals sorted by lower bound: candidates have lo <= x.
 			if ai.betweenD {
@@ -392,14 +418,14 @@ func (m *Counting) Match(e message.Event, scratch []message.SubID) []message.Sub
 			})
 			for _, cp := range ai.between[:n] {
 				if hi, ok := cp.pred.Hi.AsFloat(); ok && x <= hi {
-					hit(cp)
+					m.mark(cp)
 				}
 			}
 		}
 		// Residual predicates: direct evaluation.
 		for _, cp := range ai.scan {
 			if cp.hitAt != m.epoch && cp.pred.Eval(pair.Val, true) {
-				hit(cp)
+				m.mark(cp)
 			}
 		}
 	}
@@ -416,11 +442,28 @@ func (m *Counting) Match(e message.Event, scratch []message.SubID) []message.Sub
 				}
 			}
 			for cp := range set {
-				hit(cp)
+				m.mark(cp)
 			}
 		}
 	}
 
+	// Phase 2: a subscription matches when every slot carries this
+	// epoch's stamp. Each sits in one access list, so it is checked at
+	// most once.
+	out, start := scratch, len(scratch)
+	for _, cp := range m.hits {
+	members:
+		for _, cs := range cp.access {
+			for _, u := range cs.cpreds {
+				if u.hitAt != m.epoch {
+					continue members
+				}
+			}
+			out = append(out, cs.id)
+		}
+	}
+	clear(m.hits)
+	m.hits = m.hits[:0]
 	sortIDs(out[start:])
 	return out
 }

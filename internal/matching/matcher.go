@@ -2,9 +2,10 @@
 // S-ToPSS builds on. The paper (§3.1) extends "existing matching
 // algorithms" and cites two: the counting algorithm of Aguilera et al.
 // (PODC 1999) and the clustering/access-predicate algorithm of Fabret et
-// al. (SIGMOD 2001). Both are implemented here, together with a matching
-// tree and a naive linear-scan matcher that serves as the correctness
-// oracle and scaling baseline.
+// al. (SIGMOD 2001). Counting joins both: a shared unique-predicate index
+// as in the first, one access predicate per subscription as in the
+// second. Beside it sit a matching tree and a naive linear-scan matcher
+// that serves as the correctness oracle and scaling baseline.
 //
 // Since PR 9 the matchers share a query-optimizer front end (plan.go):
 // subscriptions compile once into a canonical *Plan — predicates
@@ -65,25 +66,23 @@ func Index(m Matcher, sub message.Subscription) error {
 	return m.Add(sub.ID, p)
 }
 
-// New constructs a matcher by algorithm name: "naive", "counting",
-// "cluster" or "tree".
+// New constructs a matcher by algorithm name: "naive", "counting" or
+// "tree".
 func New(algorithm string) (Matcher, error) {
 	switch algorithm {
 	case "naive":
 		return NewNaive(), nil
 	case "counting":
 		return NewCounting(), nil
-	case "cluster":
-		return NewCluster(), nil
 	case "tree":
 		return NewTree(), nil
 	default:
-		return nil, fmt.Errorf("matching: unknown algorithm %q (want naive, counting, cluster or tree)", algorithm)
+		return nil, fmt.Errorf("matching: unknown algorithm %q (want naive, counting or tree)", algorithm)
 	}
 }
 
 // Algorithms lists the available matcher names in a stable order.
-func Algorithms() []string { return []string{"naive", "counting", "cluster", "tree"} }
+func Algorithms() []string { return []string{"naive", "counting", "tree"} }
 
 // Naive is the brute-force matcher: it evaluates every subscription's
 // plan against every event. It is the oracle for the indexed matchers

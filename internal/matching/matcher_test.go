@@ -10,7 +10,7 @@ import (
 )
 
 func allMatchers() []Matcher {
-	return []Matcher{NewNaive(), NewCounting(), NewCluster(), NewTree()}
+	return []Matcher{NewNaive(), NewCounting(), NewTree()}
 }
 
 func TestNewByName(t *testing.T) {
@@ -198,50 +198,6 @@ func TestCountingStats(t *testing.T) {
 	m.Remove(3)
 	if got := m.UniquePredicates(); got != 10 {
 		t.Errorf("UniquePredicates after removal = %d, want 10", got)
-	}
-}
-
-func TestClusterStats(t *testing.T) {
-	m := NewCluster()
-	if err := Index(m, message.NewSubscription(1, "c", message.Pred("a", message.OpEq, message.Int(1)))); err != nil {
-		t.Fatal(err)
-	}
-	if err := Index(m, message.NewSubscription(2, "c", message.Pred("a", message.OpEq, message.Int(2)))); err != nil {
-		t.Fatal(err)
-	}
-	if err := Index(m, message.NewSubscription(3, "c", message.Pred("a", message.OpGt, message.Int(0)))); err != nil {
-		t.Fatal(err)
-	}
-	if m.Clusters() != 2 {
-		t.Errorf("Clusters = %d, want 2", m.Clusters())
-	}
-	if m.Unclustered() != 1 {
-		t.Errorf("Unclustered = %d, want 1", m.Unclustered())
-	}
-	// The unclustered subscription must still match.
-	if got := m.Match(message.E("a", 5), nil); len(got) != 1 || got[0] != 3 {
-		t.Errorf("Match = %v, want [3]", got)
-	}
-	m.Remove(1)
-	if m.Clusters() != 1 {
-		t.Errorf("Clusters after removal = %d, want 1", m.Clusters())
-	}
-}
-
-func TestClusterBalancesAccessPredicates(t *testing.T) {
-	m := NewCluster()
-	// First subscription seeds cluster (a,1). The second has equality
-	// predicates (a,1) and (b,2); it must pick the smaller cluster (b,2).
-	if err := Index(m, message.NewSubscription(1, "c", message.Pred("a", message.OpEq, message.Int(1)))); err != nil {
-		t.Fatal(err)
-	}
-	if err := Index(m, message.NewSubscription(2, "c",
-		message.Pred("a", message.OpEq, message.Int(1)),
-		message.Pred("b", message.OpEq, message.Int(2)))); err != nil {
-		t.Fatal(err)
-	}
-	if m.Clusters() != 2 {
-		t.Errorf("expected balanced clusters, got %d", m.Clusters())
 	}
 }
 

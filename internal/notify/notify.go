@@ -187,6 +187,7 @@ type Engine struct {
 	cfg        Config
 	transports map[string]*transport
 	queue      chan job
+	done       chan struct{} // closed by Close: queued jobs fail, retries stop
 	wg         sync.WaitGroup
 	inflight   atomic.Int64
 	delivered  atomic.Uint64
@@ -212,6 +213,7 @@ func NewEngine(cfg Config, transports ...Transport) (*Engine, error) {
 		cfg:        cfg,
 		transports: make(map[string]*transport, len(transports)),
 		queue:      make(chan job, cfg.QueueSize),
+		done:       make(chan struct{}),
 		routes:     make(map[string]Route),
 		reg:        metrics.NewRegistry(),
 	}
@@ -316,10 +318,10 @@ func (e *Engine) deliver(j job) {
 	e.mu.Lock()
 	hook := e.hook
 	e.mu.Unlock()
-	var err error
+	err := ErrClosed // a job still queued at Close is never sent
 	backoff := e.cfg.Backoff
 	attempts := 0
-	for attempt := 0; attempt <= e.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= e.cfg.MaxRetries && !e.stopping(); attempt++ {
 		attempts++
 		t0 := time.Now()
 		err = tr.Send(j.r.Addr, j.n)
@@ -338,7 +340,10 @@ func (e *Engine) deliver(j job) {
 		}
 		tr.failed.Inc()
 		if attempt < e.cfg.MaxRetries {
-			time.Sleep(backoff)
+			select {
+			case <-e.done:
+			case <-time.After(backoff):
+			}
 			backoff *= 2
 		}
 	}
@@ -365,6 +370,16 @@ func (e *Engine) deliver(j job) {
 	}
 	e.dead = append(e.dead, DeadLetter{Notification: j.n, Route: j.r, Err: err, Attempts: attempts})
 	e.mu.Unlock()
+}
+
+// stopping reports whether Close has begun.
+func (e *Engine) stopping() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // DeadLetters returns a copy of the dead-letter list.
@@ -406,8 +421,13 @@ func (e *Engine) Drain(timeout time.Duration) bool {
 	return e.inflight.Load() == 0
 }
 
-// Close stops accepting work, waits for the workers and closes every
-// transport. Safe to call once.
+// Close stops accepting work, closes every transport and waits for the
+// workers. It does not deliver what is still queued: those jobs fail at
+// once with ErrClosed, and a delivery that fails during Close is not
+// retried; both reach the delivery hook or the dead-letter list as any
+// failure does. Closing the transports before the wait unblocks a worker
+// stuck writing to a subscriber that stopped reading. Call Drain first
+// to deliver the queue. Safe to call once.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -417,13 +437,14 @@ func (e *Engine) Close() error {
 	e.closed = true
 	e.mu.Unlock()
 
+	close(e.done)
 	close(e.queue)
-	e.wg.Wait()
 	var firstErr error
 	for _, tr := range e.transports {
 		if err := tr.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
+	e.wg.Wait()
 	return firstErr
 }

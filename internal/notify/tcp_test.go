@@ -157,3 +157,53 @@ func TestTCPCloseRacingSend(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestEngineCloseWithStalledSubscriber: Close returns promptly while a
+// worker is stuck writing to a TCP subscriber that stopped reading, and
+// the notifications still queued fail without being sent or retried.
+func TestEngineCloseWithStalledSubscriber(t *testing.T) {
+	stall := newStallListener(t)
+	defer stall.close()
+	// With this backoff, 99 queued jobs sleeping through their retries
+	// would hold Close for over 30 s.
+	eng, err := NewEngine(Config{Workers: 1, Backoff: 50 * time.Millisecond}, NewTCPTransport(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SetRoute("hung", Route{Transport: "tcp", Addr: stall.ln.Addr().String()}); err != nil {
+		t.Fatal(err)
+	}
+	var failed atomic.Int64
+	eng.SetDeliveryHook(func(_ Notification, _ Route, err error, _ int) bool {
+		if err != nil {
+			failed.Add(1)
+		}
+		return false
+	})
+	const sent = 100
+	blob := strings.Repeat("x", 256<<10)
+	for i := 0; i < sent; i++ {
+		n := sampleNotification(message.SubID(i))
+		n.Subscriber = "hung"
+		n.Event = message.E("blob", blob)
+		if err := eng.Dispatch(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- eng.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close blocked behind a subscriber that stopped reading")
+	}
+	// Whatever the kernel buffers took counts as delivered; the rest
+	// failed, and every failure reached the hook, not a retry loop.
+	st := eng.Stats()
+	if got := int64(st.Delivered) + failed.Load(); got != sent {
+		t.Errorf("delivered %d + failed %d = %d outcomes, want %d", st.Delivered, failed.Load(), got, sent)
+	}
+	if failed.Load() == 0 {
+		t.Error("no notification failed although the subscriber never read")
+	}
+}

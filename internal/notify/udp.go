@@ -1,6 +1,7 @@
 package notify
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -10,12 +11,16 @@ import (
 // rejected at send time rather than silently truncated.
 const maxUDPPayload = 60 * 1024
 
+// errUDPClosed reports a Send on a closed transport.
+var errUDPClosed = errors.New("notify/udp: transport closed")
+
 // UDPTransport delivers one JSON notification per datagram. UDP gives
 // the demo its fire-and-forget transport; delivery is best-effort by
 // design, so only local errors (encode, oversize, socket) are reported.
 type UDPTransport struct {
-	mu    sync.Mutex
-	conns map[string]*net.UDPConn
+	mu     sync.Mutex
+	conns  map[string]*net.UDPConn
+	closed bool
 }
 
 // NewUDPTransport returns a UDP transport.
@@ -37,6 +42,9 @@ func (t *UDPTransport) Send(addr string, n Notification) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.closed {
+		return errUDPClosed
+	}
 	conn := t.conns[addr]
 	if conn == nil {
 		ua, err := net.ResolveUDPAddr("udp", addr)
@@ -57,10 +65,11 @@ func (t *UDPTransport) Send(addr string, n Notification) error {
 	return nil
 }
 
-// Close implements Transport.
+// Close implements Transport; later Sends fail.
 func (t *UDPTransport) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.closed = true
 	var firstErr error
 	for addr, c := range t.conns {
 		if err := c.Close(); err != nil && firstErr == nil {
