@@ -81,8 +81,8 @@ func main() {
 	fmt.Printf("\npublished %d resumes: %d matches (%.2f per resume)\n",
 		len(resumes), matches, float64(matches)/float64(len(resumes)))
 	fmt.Printf("delivered %d notifications over TCP\n", received.Load())
-	fmt.Printf("semantic stage: %d synonym rewrites, %d mapping calls, %d derived events\n",
-		st.Engine.SynonymRewrites, st.Engine.MappingCalls, st.Engine.DerivedEvents)
+	fmt.Printf("semantic stage: %d synonym rewrites, %d generalized pairs, %d mapped pairs\n",
+		st.Engine.SynonymRewrites, st.Engine.HierarchyPairs, st.Engine.MappingPairs)
 
 	// The punchline of the demo (§4): switch to syntactic mode and watch
 	// the matches disappear — resumes say "school", subscriptions say

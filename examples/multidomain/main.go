@@ -88,6 +88,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("with bridge:    matches = %v (dealer now matches a job posting)\n", res.Matches)
-	fmt.Printf("\nexpansion: %d derived events, %d mapping calls, %d hierarchy pairs\n",
-		len(res.Expansion.Events), res.Expansion.MappingCalls, res.Expansion.HierarchyPairs)
+	fmt.Printf("\nsaturation: %d pairs, %d mapping calls, %d hierarchy pairs\n",
+		res.Expansion.Event.Len(), res.Expansion.MappingCalls, res.Expansion.HierarchyPairs)
 }

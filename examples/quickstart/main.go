@@ -52,8 +52,8 @@ func main() {
 	}
 	fmt.Printf("subscription: %s\n", sub)
 	fmt.Printf("publication:  %s\n\n", resume)
-	fmt.Printf("semantic mode:  matches = %v (derived %d events)\n",
-		res.Matches, len(res.Expansion.Events))
+	fmt.Printf("semantic mode:  matches = %v (saturated event %s)\n",
+		res.Matches, res.Expansion.Event)
 
 	// 5. The same publication in syntactic mode finds nothing — this is
 	//    exactly the gap the paper opens with.

@@ -375,12 +375,11 @@ func (b *Broker) replay(ids []message.SubID) (int, error) {
 	}()
 
 	// Canonicalize each target's subscription ONCE (in semantic mode
-	// the stage rewrites its terms), and expand each record's event
-	// ONCE — matching is then the reference Subscription.Matches per
-	// derived event, exactly Publish's same-event conjunction
-	// semantics, instead of a full per-(record×target) Explain whose
-	// repeated event expansion would make catch-up O(records × subs)
-	// in stage work.
+	// the stage rewrites its terms), and saturate each record's event
+	// ONCE — matching is then the reference Subscription.Matches on
+	// the saturated event, exactly what Publish matches, instead of a
+	// full per-(record×target) Explain whose repeated saturation would
+	// make catch-up O(records × subs) in stage work.
 	mode := b.engine.Mode()
 	stage := b.engine.Stage()
 	semanticMode := mode == core.Semantic && stage != nil
@@ -400,22 +399,12 @@ func (b *Broker) replay(ids []message.SubID) (int, error) {
 
 	redispatched := 0
 	err := j.Scan(minFrom, func(rec journal.Record) error {
-		events := []message.Event{rec.Event}
+		ev := rec.Event
 		if semanticMode {
-			events = stage.ProcessEvent(rec.Event).Events
+			ev = stage.ProcessEvent(rec.Event).Event
 		}
 		for _, t := range targets {
-			if rec.Seq < t.from {
-				continue
-			}
-			matched := false
-			for _, dev := range events {
-				if t.sub.Matches(dev) {
-					matched = true
-					break
-				}
-			}
-			if !matched {
+			if rec.Seq < t.from || !t.sub.Matches(ev) {
 				continue
 			}
 			// Claim the seq atomically with the skip checks so a

@@ -6,8 +6,9 @@
 // "syntactic" mode (paper §4): in syntactic mode the semantic stage is
 // bypassed entirely and the engine behaves like the underlying ToPSS
 // matcher; in semantic mode subscriptions are synonym-canonicalized on
-// entry and every publication is expanded into a set of derived events
-// whose matches are unioned.
+// entry and every publication is saturated into one event, carrying its
+// original pairs and every pair the knowledge derives from them, which
+// the matcher matches once (DESIGN.md §4).
 //
 // Engine is safe for concurrent use: matching state is guarded by a
 // read-write mutex (publications of distinct events still serialize on
@@ -17,7 +18,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -64,13 +64,13 @@ type Stats struct {
 	SubsAdded       uint64        // total ever added
 	SubsRemoved     uint64        // total ever removed
 	Events          uint64        // publications processed
-	DerivedEvents   uint64        // events produced by the semantic stage (incl. roots)
+	DerivedEvents   uint64        // saturated events matched: 1 per semantic-mode publication
 	Matches         uint64        // subscription matches delivered
 	SynonymRewrites uint64        // attribute/value rewrites (events + subscriptions)
 	HierarchyPairs  uint64        // generalized pairs added
 	MappingPairs    uint64        // pairs derived by mapping functions
 	MappingCalls    uint64        // mapping function invocations
-	Truncated       uint64        // publications whose expansion hit the budget
+	Truncated       uint64        // publications whose saturation ran out of MaxRounds
 	SemanticTime    time.Duration // cumulative time in the semantic stage
 	MatchTime       time.Duration // cumulative time in the matching algorithm
 
@@ -139,12 +139,6 @@ type Engine struct {
 	originals map[message.SubID]message.Subscription
 	stats     Stats
 	kb        *knowledge.Base // optional; set with WithKnowledge
-
-	// matchScratch accumulates per-derived-event match results during a
-	// multi-event union so the hot path allocates no dedup map. Guarded
-	// by mu (the union runs under the write lock); only a right-sized
-	// copy of the deduped result ever escapes.
-	matchScratch []message.SubID
 }
 
 // Option configures an Engine.
@@ -327,9 +321,9 @@ func (e *Engine) Subscription(id message.SubID) (message.Subscription, bool) {
 type MatchResult struct {
 	// Matches holds the IDs of all satisfied subscriptions, ascending.
 	Matches []message.SubID
-	// Expansion is the semantic stage's report (Events[0] is the root
-	// event; empty Events in syntactic mode means the original event
-	// was matched directly).
+	// Expansion is the semantic stage's report; its Event is the
+	// saturated event that was matched (the zero Event in syntactic
+	// mode, where the publication was matched as given).
 	Expansion semantic.Result
 	// SemanticTime and MatchTime split the publication's latency
 	// between the two pipeline halves (BenchmarkPipeline).
@@ -338,9 +332,10 @@ type MatchResult struct {
 }
 
 // Publish runs a publication through the pipeline and returns every
-// matching subscription. In semantic mode the stage expands the event
+// matching subscription. In semantic mode the stage saturates the event
 // once per publication, under the lock that also excludes knowledge
-// updates, so the expansion always reflects the current stage.
+// updates, so the saturation always reflects the current stage, and the
+// matcher matches the saturated event once.
 func (e *Engine) Publish(ev message.Event) (MatchResult, error) {
 	if err := ev.Validate(); err != nil {
 		return MatchResult{}, err
@@ -356,7 +351,7 @@ func (e *Engine) Publish(ev message.Event) (MatchResult, error) {
 		res.Expansion = e.stage.ProcessEvent(ev)
 		res.SemanticTime = time.Since(t0)
 		e.stats.SemanticTime += res.SemanticTime
-		e.stats.DerivedEvents += uint64(len(res.Expansion.Events))
+		e.stats.DerivedEvents++
 		e.stats.SynonymRewrites += uint64(res.Expansion.SynonymRewrites)
 		e.stats.HierarchyPairs += uint64(res.Expansion.HierarchyPairs)
 		e.stats.MappingPairs += uint64(res.Expansion.MappingPairs)
@@ -364,53 +359,15 @@ func (e *Engine) Publish(ev message.Event) (MatchResult, error) {
 		if res.Expansion.Truncated {
 			e.stats.Truncated++
 		}
-
-		t1 := time.Now()
-		res.Matches = e.unionMatchesLocked(res.Expansion.Events)
-		res.MatchTime = time.Since(t1)
-	} else {
-		t1 := time.Now()
-		res.Matches = e.unionMatchesLocked([]message.Event{ev})
-		res.MatchTime = time.Since(t1)
+		ev = res.Expansion.Event
 	}
 
+	t1 := time.Now()
+	res.Matches = e.matcher.Match(ev, nil)
+	res.MatchTime = time.Since(t1)
 	e.stats.MatchTime += res.MatchTime
 	e.stats.Matches += uint64(len(res.Matches))
 	return res, nil
-}
-
-// unionMatchesLocked matches every derived event and returns the
-// ascending union of the results. Multi-event unions accumulate into
-// the engine's scratch slice (sort + in-place compaction instead of a
-// per-publication dedup map); the scratch never escapes — callers get
-// a right-sized copy. Callers hold e.mu.
-func (e *Engine) unionMatchesLocked(events []message.Event) []message.SubID {
-	ids := e.matchScratch[:0]
-	n := 0
-	if len(events) == 1 {
-		// Single event: the matcher's appended region is already sorted
-		// and duplicate-free.
-		ids = e.matcher.Match(events[0], ids)
-		n = len(ids)
-	} else {
-		for _, ev := range events {
-			ids = e.matcher.Match(ev, ids)
-		}
-		slices.Sort(ids)
-		for i, id := range ids {
-			if i == 0 || id != ids[i-1] {
-				ids[n] = id
-				n++
-			}
-		}
-	}
-	e.matchScratch = ids[:0] // keep the grown capacity for the next union
-	if n == 0 {
-		return nil
-	}
-	out := make([]message.SubID, n)
-	copy(out, ids[:n])
-	return out
 }
 
 // Stats returns a snapshot of engine counters.

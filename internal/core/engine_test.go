@@ -102,8 +102,13 @@ func TestFigure1(t *testing.T) {
 				t.Fatalf("semantic mode: Matches = %v, want [1]\nexpansion: %+v",
 					res.Matches, res.Expansion)
 			}
-			if len(res.Expansion.Events) < 2 {
-				t.Errorf("expected derived events, got %d", len(res.Expansion.Events))
+			// One saturated event: the synonym-rewritten original pairs,
+			// both generalizations of PhD and the mapped experience.
+			want := message.E("university", "Toronto", "degree", "PhD", "professional experience", true,
+				"graduation year", 1990, "degree", "graduate degree", "degree", "degree",
+				"professional experience", 13)
+			if !res.Expansion.Event.Equal(want) {
+				t.Errorf("saturated event = %v, want %v", res.Expansion.Event, want)
 			}
 
 			// Syntactic mode: the same pair must NOT match.
@@ -358,11 +363,13 @@ func TestStatsAccounting(t *testing.T) {
 	if st.Matches != 5 {
 		t.Errorf("Matches = %d, want 5", st.Matches)
 	}
-	if st.DerivedEvents < 10 {
-		t.Errorf("DerivedEvents = %d, want >= 10", st.DerivedEvents)
+	// One saturated event per publication, carrying 2 synonym
+	// rewrites, 2 generalized pairs and 1 mapped pair.
+	if st.DerivedEvents != 5 {
+		t.Errorf("DerivedEvents = %d, want 5", st.DerivedEvents)
 	}
-	if st.SynonymRewrites == 0 || st.MappingCalls == 0 {
-		t.Errorf("semantic counters empty: %+v", st)
+	if st.SynonymRewrites != 10 || st.HierarchyPairs != 10 || st.MappingPairs != 5 || st.MappingCalls != 5 || st.Truncated != 0 {
+		t.Errorf("semantic counters wrong: %+v", st)
 	}
 	if st.Subscriptions != 1 || st.SubsAdded != 1 {
 		t.Errorf("subscription counters wrong: %+v", st)

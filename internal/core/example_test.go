@@ -36,16 +36,24 @@ func ExampleEngine() {
 	// syntactic: []
 }
 
-// ExampleEngine_Explain traces why the match happened.
+// ExampleEngine_Explain traces why the match happened: each predicate's
+// witness and the rule that put it into the saturated event.
 func ExampleEngine_Explain() {
 	ont, _ := ontology.Load(workload.JobsODL, ontology.Options{})
 	engine := core.NewEngine(ont.Stage(semantic.FullConfig()))
 	_ = engine.Subscribe(message.NewSubscription(1, "recruiter",
-		message.Pred("university", message.OpEq, message.String("Toronto"))))
+		message.Pred("university", message.OpEq, message.String("Toronto")),
+		message.Pred("degree", message.OpEq, message.String("graduate degree")),
+		message.Pred("professional experience", message.OpGe, message.Int(4)),
+		message.Pred("position", message.OpEq, message.String("mainframe developer"))))
 
-	x, _ := engine.Explain(1, message.E("school", "Toronto"))
+	x, _ := engine.Explain(1, message.E("school", "Toronto", "degree", "PhD",
+		"graduation year", 1990, "position", "mainframe developer"))
 	fmt.Print(x)
 	// Output:
 	// MATCH — subscription 1 (recruiter)
-	//   ✓ (university = Toronto) — by (university, Toronto), DERIVED by the semantic stage (event 0)
+	//   ✓ (university = Toronto) — by (university, Toronto), DERIVED by the semantic stage (synonym)
+	//   ✓ (degree = graduate degree) — by (degree, graduate degree), DERIVED by the semantic stage (hierarchy)
+	//   ✓ (professional experience >= 4) — by (professional experience, 13), DERIVED by the semantic stage (mapping:experience_from_graduation)
+	//   ✓ (position = mainframe developer) — by (position, mainframe developer) from the original publication
 }

@@ -5,12 +5,14 @@ import (
 	"strings"
 
 	"stopss/internal/message"
+	"stopss/internal/semantic"
 )
 
 // Explanation traces why one subscription matched one publication: per
-// predicate, which derived event and which attribute/value pair
-// satisfied it, and whether that pair existed in the original
-// publication or was produced by the semantic stage. The demonstration's
+// predicate, which attribute/value pair of the saturated event satisfied
+// it and which rule of the semantic stage put that pair there — the
+// original publication, a synonym, the concept hierarchy, or a named
+// mapping function. The demonstration's
 // purpose — "the real power of this scheme is only apparent by
 // witnessing how seamlessly unrelated objects end up matching" (paper
 // §4) — is exactly what an explanation makes visible.
@@ -24,21 +26,21 @@ type Explanation struct {
 // ExplainStep records the witness for one predicate.
 type ExplainStep struct {
 	Predicate message.Predicate
-	// Satisfied reports whether any derived event satisfied the
+	// Satisfied reports whether the saturated event satisfied the
 	// predicate (false only when the subscription did not match).
 	Satisfied bool
-	// EventIndex is the index into the expansion's Events of the first
-	// derived event containing the witness (0 = root event).
-	EventIndex int
-	// Witness is the satisfying pair (absent for not-exists, which is
-	// witnessed by absence).
+	// Rule is the origin of the witness: semantic.OriginOriginal,
+	// OriginSynonym, OriginHierarchy or "mapping:<name>" (empty for
+	// not-exists, which is witnessed by absence).
+	Rule semantic.Origin
+	// Witness is the satisfying pair (absent for not-exists).
 	Witness message.Pair
-	// Derived reports whether the witness pair was absent from the
-	// original publication — i.e. the semantic stage created it.
+	// Derived reports whether the semantic stage created the witness
+	// pair: its Rule is neither original nor empty.
 	Derived bool
 }
 
-// Explain re-runs the semantic expansion of ev and traces how the stored
+// Explain re-runs the semantic saturation of ev and traces how the stored
 // subscription id is (or is not) satisfied. It is a diagnostic path: it
 // does not touch engine statistics.
 func (e *Engine) Explain(id message.SubID, ev message.Event) (Explanation, error) {
@@ -53,28 +55,30 @@ func (e *Engine) Explain(id message.SubID, ev message.Event) (Explanation, error
 		return Explanation{}, fmt.Errorf("core: unknown subscription %d", id)
 	}
 
-	// Reproduce the indexed form and the expansion outside the lock
+	// Reproduce the indexed form and the saturation outside the lock
 	// (Stage and ProcessSubscription are read-only over the knowledge
 	// structures).
 	sub := orig.Clone()
-	var events []message.Event
+	sat, origins := ev, []semantic.Origin(nil)
 	if mode == Semantic {
 		sub, _ = e.stage.ProcessSubscription(sub)
-		events = e.stage.ProcessEvent(ev).Events
-	} else {
-		events = []message.Event{ev}
+		var res semantic.Result
+		res, origins = e.stage.ExplainEvent(ev)
+		sat = res.Event
 	}
 
 	out := Explanation{SubID: id, Subscriber: orig.Subscriber, Matched: true}
 	for _, p := range sub.Preds {
 		step := ExplainStep{Predicate: p}
-		for idx, dev := range events {
-			if w, found := witness(p, dev); found {
-				step.Satisfied = true
-				step.EventIndex = idx
-				step.Witness = w
-				step.Derived = !pairIn(ev, w)
-				break
+		if i, found := witness(p, sat); found {
+			step.Satisfied = true
+			if i >= 0 {
+				step.Witness = sat.Pair(i)
+				step.Rule = semantic.OriginOriginal
+				if origins != nil {
+					step.Rule = origins[i]
+				}
+				step.Derived = step.Rule != semantic.OriginOriginal
 			}
 		}
 		if !step.Satisfied {
@@ -85,35 +89,19 @@ func (e *Engine) Explain(id message.SubID, ev message.Event) (Explanation, error
 	return out, nil
 }
 
-// witness returns the first pair of dev satisfying p. Not-exists
-// predicates are witnessed by the attribute's absence (empty pair).
-func witness(p message.Predicate, dev message.Event) (message.Pair, bool) {
+// witness returns the index of the first pair of ev satisfying p.
+// Not-exists predicates are witnessed by the attribute's absence
+// (index -1).
+func witness(p message.Predicate, ev message.Event) (int, bool) {
 	if p.Op == message.OpNotExists {
-		if dev.Has(p.Attr) {
-			return message.Pair{}, false
-		}
-		return message.Pair{}, true
+		return -1, !ev.Has(p.Attr)
 	}
-	for _, pair := range dev.Pairs() {
+	for i, pair := range ev.Pairs() {
 		if pair.Attr == p.Attr && p.Eval(pair.Val, true) {
-			return pair, true
+			return i, true
 		}
 	}
-	return message.Pair{}, false
-}
-
-// pairIn reports whether the original publication already carried the
-// pair (same attribute and equal value).
-func pairIn(ev message.Event, w message.Pair) bool {
-	if w.Attr == "" {
-		return true // absence witness: nothing was derived
-	}
-	for _, pair := range ev.Pairs() {
-		if pair.Attr == w.Attr && pair.Val.Equal(w.Val) {
-			return true
-		}
-	}
-	return false
+	return -1, false
 }
 
 // String renders the explanation as a human-readable trace.
@@ -127,12 +115,12 @@ func (x Explanation) String() string {
 	for _, s := range x.Steps {
 		switch {
 		case !s.Satisfied:
-			fmt.Fprintf(&sb, "  ✗ %s — no derived event satisfies it\n", s.Predicate)
+			fmt.Fprintf(&sb, "  ✗ %s — no pair of the saturated event satisfies it\n", s.Predicate)
 		case s.Predicate.Op == message.OpNotExists:
 			fmt.Fprintf(&sb, "  ✓ %s — attribute absent\n", s.Predicate)
 		case s.Derived:
-			fmt.Fprintf(&sb, "  ✓ %s — by (%s, %s), DERIVED by the semantic stage (event %d)\n",
-				s.Predicate, s.Witness.Attr, s.Witness.Val, s.EventIndex)
+			fmt.Fprintf(&sb, "  ✓ %s — by (%s, %s), DERIVED by the semantic stage (%s)\n",
+				s.Predicate, s.Witness.Attr, s.Witness.Val, s.Rule)
 		default:
 			fmt.Fprintf(&sb, "  ✓ %s — by (%s, %s) from the original publication\n",
 				s.Predicate, s.Witness.Attr, s.Witness.Val)

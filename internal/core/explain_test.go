@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"stopss/internal/message"
+	"stopss/internal/semantic"
 )
 
 func TestExplainPaperExample(t *testing.T) {
@@ -26,24 +27,50 @@ func TestExplainPaperExample(t *testing.T) {
 	// event pair — present in the rewritten event, but DERIVED relative
 	// to the original publication (which said "school").
 	uni := x.Steps[0]
-	if !uni.Satisfied || uni.Witness.Attr != "university" || !uni.Derived {
+	if !uni.Satisfied || uni.Witness.Attr != "university" || !uni.Derived || uni.Rule != semantic.OriginSynonym {
 		t.Errorf("university step = %+v", uni)
 	}
 	// degree = PhD: carried verbatim by the original publication.
 	deg := x.Steps[1]
-	if !deg.Satisfied || deg.Derived {
+	if !deg.Satisfied || deg.Derived || deg.Rule != semantic.OriginOriginal {
 		t.Errorf("degree step = %+v", deg)
 	}
 	// professional experience >= 4: derived by the mapping function.
 	exp := x.Steps[2]
-	if !exp.Satisfied || !exp.Derived || exp.Witness.Val.IntVal() != 13 {
+	if !exp.Satisfied || !exp.Derived || exp.Witness.Val.IntVal() != 13 || exp.Rule != semantic.MappingOrigin("experience-from-graduation") {
 		t.Errorf("experience step = %+v", exp)
 	}
 	text := x.String()
-	for _, want := range []string{"MATCH", "DERIVED by the semantic stage", "from the original publication"} {
+	for _, want := range []string{"MATCH", "DERIVED by the semantic stage (synonym)",
+		"DERIVED by the semantic stage (mapping:experience-from-graduation)", "from the original publication"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("explanation text missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestExplainHierarchyRule: a witness the concept hierarchy added is
+// attributed to it; a not-exists step names no rule.
+func TestExplainHierarchyRule(t *testing.T) {
+	eng := NewEngine(paperStage(t))
+	if err := eng.Subscribe(message.NewSubscription(1, "c",
+		message.Pred("degree", message.OpEq, message.String("graduate degree")),
+		message.Pred("salary", message.OpNotExists, message.None()))); err != nil {
+		t.Fatal(err)
+	}
+	x, err := eng.Explain(1, paperEvent())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, absent := x.Steps[0], x.Steps[1]
+	if !x.Matched || gen.Rule != semantic.OriginHierarchy || !gen.Derived || gen.Witness.Val.Str() != "graduate degree" {
+		t.Errorf("hierarchy step = %+v", gen)
+	}
+	if !absent.Satisfied || absent.Rule != "" || absent.Derived {
+		t.Errorf("not-exists step = %+v", absent)
+	}
+	if !strings.Contains(x.String(), "DERIVED by the semantic stage (hierarchy)") {
+		t.Errorf("text = %s", x)
 	}
 }
 

@@ -76,9 +76,8 @@ func TestDiffEmitsEvolution(t *testing.T) {
 
 	// New synonym members.
 	res := st.ProcessEvent(message.E("post", "x", "pay", "y"))
-	root := res.Events[0]
-	if !root.Has("position") || !root.Has("salary") {
-		t.Fatalf("new synonyms not applied: %v", root)
+	if !res.Event.Has("position") || !res.Event.Has("salary") {
+		t.Fatalf("new synonyms not applied: %v", res.Event)
 	}
 	// New hierarchy path: MSc is-a "graduate degree" is-a degree.
 	if !st.Hierarchy().IsA("MSc", "degree") {
@@ -93,19 +92,10 @@ func TestDiffEmitsEvolution(t *testing.T) {
 	if st.Mappings().Len() != 1 {
 		t.Fatalf("mappings after diff: %v", st.Mappings().Names())
 	}
-	for _, ev := range st.ProcessEvent(message.E("position", "mainframe developer")).Events {
-		if ev.Has("era") {
-			t.Fatal("superseded mapping content still fires")
-		}
+	if st.ProcessEvent(message.E("position", "mainframe developer")).Event.Has("era") {
+		t.Fatal("superseded mapping content still fires")
 	}
-	pairs := st.ProcessEvent(message.E("position", "web developer"))
-	foundSkill := false
-	for _, ev := range pairs.Events {
-		if v, ok := ev.Get("skill"); ok && v.Str() == "JavaScript" {
-			foundSkill = true
-		}
-	}
-	if !foundSkill {
+	if v, ok := st.ProcessEvent(message.E("position", "web developer")).Event.Get("skill"); !ok || v.Str() != "JavaScript" {
 		t.Fatal("new mapping not applied")
 	}
 }
@@ -178,18 +168,10 @@ func TestDiffFileStampFoldOrderSafe(t *testing.T) {
 		if st.Mappings().Len() != 1 {
 			t.Fatalf("trial %d: mappings after fold: %v", trial, st.Mappings().Names())
 		}
-		for _, ev := range st.ProcessEvent(message.E("position", "mainframe developer")).Events {
-			if ev.Has("era") {
-				t.Fatalf("trial %d: superseded mapping content still fires", trial)
-			}
+		if st.ProcessEvent(message.E("position", "mainframe developer")).Event.Has("era") {
+			t.Fatalf("trial %d: superseded mapping content still fires", trial)
 		}
-		found := false
-		for _, ev := range st.ProcessEvent(message.E("position", "web developer")).Events {
-			if v, ok := ev.Get("skill"); ok && v.Str() == "JavaScript" {
-				found = true
-			}
-		}
-		if !found {
+		if v, ok := st.ProcessEvent(message.E("position", "web developer")).Event.Get("skill"); !ok || v.Str() != "JavaScript" {
 			t.Fatalf("trial %d: updated mapping lost in fold order %v", trial, ds)
 		}
 	}

@@ -88,6 +88,7 @@ type attrIndex struct {
 	exists   []*cPred
 	scan     []*cPred // evaluated directly per pair
 	betweenD bool     // between slice needs re-sort
+	n        int      // indexed predicates on the attribute; 0 frees the entry
 }
 
 // thresholds is a sorted multiset of numeric cut points with their
@@ -216,6 +217,7 @@ func accessBefore(u, a *cPred) bool {
 func (m *Counting) indexPredicate(cp *cPred) {
 	p := cp.pred
 	ai := m.attr(cp.sym)
+	ai.n++
 	switch p.Op {
 	case message.OpEq:
 		ai.eq[p.Val.Canonical()] = append(ai.eq[p.Val.Canonical()], cp)
@@ -287,6 +289,12 @@ func (m *Counting) unindexPredicate(cp *cPred) {
 	ai := m.attrs[cp.sym]
 	if ai == nil {
 		return
+	}
+	if ai.n--; ai.n == 0 {
+		// The attribute's last predicate: drop the whole entry, so
+		// subscriptions on ever-fresh attribute names leave nothing
+		// behind.
+		delete(m.attrs, cp.sym)
 	}
 	removeFrom := func(s []*cPred) []*cPred {
 		for i := range s {

@@ -13,7 +13,7 @@ import (
 // so a test can check that churn leaves none behind.
 type countingResidency struct {
 	preds, subs, plans, cachedPlans     int
-	eqKeys, eqPreds                     int
+	attrs, eqKeys, eqPreds              int
 	thresholds, between, exists, scan   int
 	notExists, accessLists, accessSlots int
 }
@@ -24,6 +24,7 @@ func (m *Counting) residency() countingResidency {
 		subs:        len(m.subs),
 		plans:       len(m.plans),
 		cachedPlans: m.PlanStats().Cached,
+		attrs:       len(m.attrs),
 	}
 	for _, ai := range m.attrs {
 		r.eqKeys += len(ai.eq)
@@ -117,6 +118,33 @@ func TestCountingChurnResidency(t *testing.T) {
 	}
 	if after := m.residency(); after != before {
 		t.Errorf("residency after 10000 churn pairs:\n got  %+v\n want %+v", after, before)
+	}
+	// Fresh attribute names, each with every operator kind: the
+	// per-attribute index must go with its last predicate.
+	for i := 0; i < 1000; i++ {
+		a := fmt.Sprintf("fresh-attr%d", i)
+		preds := []message.Predicate{
+			message.Pred(a, message.OpEq, message.Int(int64(i))),
+			message.Pred(a, []message.Op{message.OpLt, message.OpLe, message.OpGt, message.OpGe}[i%4], message.Int(int64(i))),
+		}
+		switch i % 3 {
+		case 0:
+			preds = append(preds, message.Between(a, message.Int(1), message.Int(2)), message.Exists(a))
+		case 1:
+			preds = append(preds, message.Pred(a, message.OpPrefix, message.String("p")))
+		case 2:
+			preds = append(preds, message.Pred(a+"-absent", message.OpNotExists, message.None()))
+		}
+		if err := Index(m, message.NewSubscription(next, "c", preds...)); err != nil {
+			t.Fatal(err)
+		}
+		if !m.Remove(next) {
+			t.Fatalf("Remove(%d) reported absent", next)
+		}
+		next++
+	}
+	if after := m.residency(); after != before {
+		t.Errorf("residency after 1000 fresh-attribute churn pairs:\n got  %+v\n want %+v", after, before)
 	}
 	checkAccessLists(t, m)
 }

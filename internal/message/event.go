@@ -15,8 +15,8 @@ type Pair struct {
 
 // Event is a publication: an ordered multiset of attribute/value pairs.
 // The paper's examples allow several pairs with related attributes (job1,
-// job2, …) and the semantic stage adds further pairs and variant events,
-// so Event deliberately permits duplicate attributes.
+// job2, …) and the semantic stage adds further pairs for the same
+// attributes, so Event deliberately permits duplicate attributes.
 //
 // Events are value types with copy-on-write behaviour provided by the
 // explicit Clone method; mutating methods operate in place.
@@ -119,7 +119,7 @@ func (e *Event) AddPair(p Pair) { e.pairs = append(e.pairs, p) }
 
 // AddUnique appends the pair only when an equal (attr, value) pair is not
 // already present. It reports whether the pair was added. The semantic
-// stage uses it to keep expanded events duplicate-free.
+// stage uses it to keep the saturated event duplicate-free.
 func (e *Event) AddUnique(attr string, v Value) bool {
 	for _, p := range e.pairs {
 		if p.Attr == attr && p.Val.Equal(v) {
@@ -158,8 +158,8 @@ func (e Event) Equal(o Event) bool {
 }
 
 // Signature returns a canonical, order-insensitive key identifying the
-// event's pair multiset. The semantic stage's fixpoint loop uses
-// signatures to deduplicate derived events (DESIGN.md §4).
+// event's pair multiset (Equal compares by it; the simulation compares
+// brokers' saturated events by it).
 func (e Event) Signature() string {
 	keys := make([]string, len(e.pairs))
 	for i, p := range e.pairs {

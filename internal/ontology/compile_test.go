@@ -256,20 +256,13 @@ func TestOntologyStage(t *testing.T) {
 	o := compileJobs(t, Options{})
 	st := o.Stage(semantic.FullConfig())
 	res := st.ProcessEvent(message.E("school", "Toronto", "graduation year", 1990))
-	if len(res.Events) < 2 {
-		t.Fatalf("expected expansion, got %d events", len(res.Events))
+	// The synonym rewrite and the mapping rule's pair, in one event.
+	want := message.E("university", "Toronto", "graduation year", 1990, "professional experience", 13)
+	if !res.Event.Equal(want) {
+		t.Errorf("saturated event = %v, want %v", res.Event, want)
 	}
-	if !res.Events[0].Has("university") {
-		t.Error("synonym stage not wired through ontology")
-	}
-	found := false
-	for _, ev := range res.Events {
-		if v, ok := ev.Get("professional experience"); ok && v.IntVal() == 13 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("mapping rule not wired: %v", res.Events)
+	if res.SynonymRewrites != 1 || res.MappingPairs != 1 {
+		t.Errorf("synonym stage or mapping rule not wired through ontology: %+v", res)
 	}
 }
 

@@ -26,8 +26,7 @@ mappings {
 	}
 	stage := ont.Stage(semantic.FullConfig())
 	res := stage.ProcessEvent(message.E("school", "Toronto", "graduation year", 1990))
-	last := res.Events[len(res.Events)-1]
-	v, _ := last.Get("professional experience")
+	v, _ := res.Event.Get("professional experience")
 	fmt.Println(ont.Domain, v)
 	// Output:
 	// jobs 13

@@ -660,7 +660,7 @@ func (n *Node) withdrawSub(rid routeID, hops []string, from *link) {
 // frame (the receiving hop inherits the sampling decision from its
 // presence), with a forward span recorded per link first.
 func (n *Node) routePub(ev message.Event, pubID string, hops []string, from *link) {
-	var events []message.Event
+	var routed *message.Event // the saturated event, computed on first need
 	// evShared is one defensive clone of the event, made lazily and
 	// shared by every forwarded frame: link writers only READ the frame
 	// while encoding it, so the per-link copies this used to make were
@@ -673,10 +673,11 @@ func (n *Node) routePub(ev message.Event, pubID string, hops []string, from *lin
 		if len(l.interests) == 0 {
 			continue
 		}
-		if events == nil {
-			events = n.expandForRouting(ev)
+		if routed == nil {
+			sat := n.expandForRouting(ev)
+			routed = &sat
 		}
-		if !interestsMatch(l, events) {
+		if !interestsMatch(l, *routed) {
 			continue
 		}
 		spans := n.trc.Forward(pubID, l.peer, time.Now())
@@ -741,14 +742,12 @@ func (n *Node) reindexRouting(affected map[string]bool) {
 	}
 }
 
-// interestsMatch reports whether any interest on the link matches any
-// derived event.
-func interestsMatch(l *link, events []message.Event) bool {
+// interestsMatch reports whether any interest on the link matches the
+// saturated event.
+func interestsMatch(l *link, ev message.Event) bool {
 	for _, e := range l.interests {
-		for _, ev := range events {
-			if e.canon.Matches(ev) {
-				return true
-			}
+		if e.canon.Matches(ev) {
+			return true
 		}
 	}
 	return false
@@ -765,14 +764,14 @@ func (n *Node) canonicalize(sub message.Subscription) message.Subscription {
 	return canon
 }
 
-// expandForRouting derives the event set the local engine would match,
-// making the forwarding predicate semantically faithful.
-func (n *Node) expandForRouting(ev message.Event) []message.Event {
+// expandForRouting saturates the event as the local engine would before
+// matching it, making the forwarding predicate semantically faithful.
+func (n *Node) expandForRouting(ev message.Event) message.Event {
 	eng := n.b.Engine()
 	if eng.Mode() != core.Semantic {
-		return []message.Event{ev}
+		return ev
 	}
-	return eng.Stage().ProcessEvent(ev).Events
+	return eng.Stage().ProcessEvent(ev).Event
 }
 
 // markSeen records a publication ID in the bounded dedup window.

@@ -46,8 +46,8 @@ func TestReplaceConcurrentWithProcessEvent(t *testing.T) {
 				default:
 				}
 				res := st.ProcessEvent(ev)
-				if len(res.Events) == 0 {
-					t.Error("ProcessEvent returned no events")
+				if res.Event.Len() == 0 {
+					t.Error("ProcessEvent returned an empty event")
 					return
 				}
 				out, _ := st.ProcessSubscription(sub)
@@ -101,16 +101,10 @@ func TestProcessEventSeesOneSnapshot(t *testing.T) {
 			default:
 			}
 			res := st.ProcessEvent(ev)
-			root := res.Events[0]
-			rewritten := root.Has("position")
-			generalized := false
-			for _, dev := range res.Events {
-				if dev.Has("role") {
-					generalized = true
-				}
-			}
+			rewritten := res.Event.Has("position")
+			generalized := res.Event.Has("role")
 			// Old snapshot: neither. New snapshot: both (position is a
-			// known concept, so the derived set contains a role pair).
+			// known concept, so the saturated event has a role pair).
 			if rewritten != generalized {
 				t.Errorf("torn snapshot: rewritten=%v generalized=%v", rewritten, generalized)
 				return
@@ -122,8 +116,8 @@ func TestProcessEventSeesOneSnapshot(t *testing.T) {
 	wg.Wait()
 
 	res := st.ProcessEvent(message.E("job", "dev"))
-	if !res.Events[0].Has("position") {
-		t.Fatalf("after Replace, event not rewritten: %v", res.Events[0])
+	if !res.Event.Has("position") {
+		t.Fatalf("after Replace, event not rewritten: %v", res.Event)
 	}
 }
 

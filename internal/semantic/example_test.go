@@ -58,11 +58,8 @@ func ExampleStage() {
 
 	stage := semantic.NewStage(syn, nil, maps, semantic.FullConfig())
 	res := stage.ProcessEvent(message.E("school", "Toronto", "graduation year", 1993))
-	for _, ev := range res.Events {
-		fmt.Println(ev)
-	}
+	fmt.Println(res.Event)
 	// Output:
-	// (university, Toronto)(graduation year, 1993)
 	// (university, Toronto)(graduation year, 1993)(professional experience, 10)
 }
 

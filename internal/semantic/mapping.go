@@ -134,24 +134,25 @@ func (m *Mappings) Clone() *Mappings {
 
 // Applicable returns the functions triggered by any attribute of the
 // event, each at most once, in registration order per trigger. Lookup is
-// one hash probe per distinct event attribute.
-func (m *Mappings) Applicable(e message.Event) []MappingFunc {
+// one hash probe per pair.
+func (m *Mappings) Applicable(e message.Event) []MappingFunc { return m.applicable(e.Pairs()) }
+
+// applicable is Applicable over a run of pairs: the saturation loop asks
+// only for the functions its newest pairs trigger.
+func (m *Mappings) applicable(pairs []message.Pair) []MappingFunc {
 	if m.count == 0 {
 		return nil
 	}
 	var out []MappingFunc
-	seen := make(map[string]bool)
-	seenAttr := make(map[string]bool, e.Len())
-	for _, pair := range e.Pairs() {
-		if seenAttr[pair.Attr] {
-			continue
-		}
-		seenAttr[pair.Attr] = true
+	for _, pair := range pairs {
+	next:
 		for _, f := range m.byTrigger[pair.Attr] {
-			if !seen[f.Name()] {
-				seen[f.Name()] = true
-				out = append(out, f)
+			for _, g := range out {
+				if g.Name() == f.Name() {
+					continue next
+				}
 			}
+			out = append(out, f)
 		}
 	}
 	return out

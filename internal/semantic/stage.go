@@ -33,22 +33,15 @@ type Config struct {
 	// parents only, etc.
 	MaxGeneralization int
 
-	// MaxRounds bounds the CH/MF fixpoint iterations (paper §3.2: the
-	// two stages "can be executed multiple times" because each may
+	// MaxRounds bounds the saturation rounds (paper §3.2: the CH and
+	// MF stages "can be executed multiple times" because each may
 	// enable the other). 0 selects DefaultMaxRounds.
 	MaxRounds int
-
-	// MaxEvents caps the total number of derived events per
-	// publication, guarding against pathological mapping cycles.
-	// 0 selects DefaultMaxEvents.
-	MaxEvents int
 }
 
-// Default fixpoint bounds.
-const (
-	DefaultMaxRounds = 4
-	DefaultMaxEvents = 64
-)
+// DefaultMaxRounds is the saturation bound used when Config.MaxRounds
+// is 0.
+const DefaultMaxRounds = 4
 
 // FullConfig enables all three approaches with default bounds.
 func FullConfig() Config {
@@ -61,7 +54,8 @@ func SyntacticConfig() Config { return Config{} }
 
 // Stage is the semantic stage of Figure 1: synonym rewrite first, then a
 // fixpoint of concept-hierarchy and mapping-function expansion, feeding
-// the matching algorithm a set of events derived from the original one.
+// the matching algorithm one saturated event: the original pairs plus
+// every pair the knowledge derives from them (DESIGN.md §4).
 //
 // A Stage is safe for concurrent use, and — unlike the original
 // read-only design — safely mutable at runtime: all state (the three
@@ -143,165 +137,180 @@ func (st *Stage) Replace(syn *Synonyms, hier *Hierarchy, maps *Mappings) {
 
 // Result reports what the semantic stage did to one publication.
 type Result struct {
-	// Events are the derived events entering the matching algorithm:
-	// Events[0] is always the (possibly synonym-rewritten) root event;
-	// further entries come from hierarchy and mapping expansion. Each
-	// derived event contains all pairs of its parent, so matching all
-	// of them and unioning the results realizes Figure 1.
-	Events []message.Event
+	// Event is the saturated publication entering the matching
+	// algorithm: the (possibly synonym-rewritten) original pairs first,
+	// then every pair the hierarchy and the mapping functions derived,
+	// each once. Every derived pair is a fact about the one publication
+	// (DESIGN.md §4), so matching this one event realizes Figure 1.
+	Event message.Event
 
 	SynonymRewrites int  // attribute/value rewrites applied
 	HierarchyPairs  int  // generalized pairs added
 	MappingPairs    int  // pairs derived by mapping functions
 	MappingCalls    int  // mapping function invocations
-	Rounds          int  // fixpoint rounds executed
-	Deduplicated    int  // derived events dropped as duplicates
-	Truncated       bool // expansion hit MaxEvents
+	Rounds          int  // saturation rounds that added pairs
+	Truncated       bool // MaxRounds ran out while pairs were still being added
 }
+
+// Origin names the rule that put a pair into the saturated event:
+// OriginOriginal, OriginSynonym, OriginHierarchy, or "mapping:<name>"
+// (MappingOrigin) for a pair a mapping function derived.
+type Origin string
+
+// The fixed origins.
+const (
+	OriginOriginal  Origin = "original"
+	OriginSynonym   Origin = "synonym"
+	OriginHierarchy Origin = "hierarchy"
+)
+
+// MappingOrigin is the origin of a pair derived by the named mapping
+// function.
+func MappingOrigin(name string) Origin { return Origin("mapping:" + name) }
 
 // ProcessEvent runs the full Figure 1 pipeline on a publication.
 func (st *Stage) ProcessEvent(e message.Event) Result {
-	return st.load().processEvent(e)
+	return st.load().saturate(e, nil)
 }
 
-func (sn *stageSnap) processEvent(e message.Event) Result {
+// ExplainEvent is ProcessEvent that also reports, for each pair of the
+// saturated event (index-aligned with Result.Event.Pairs()), the rule
+// that added it. It is the diagnostic path behind core.Engine.Explain.
+func (st *Stage) ExplainEvent(e message.Event) (Result, []Origin) {
+	var origins []Origin
+	res := st.load().saturate(e, &origins)
+	return res, origins
+}
+
+// saturate rewrites the publication to root terms and then grows it in
+// place to a fixpoint. Each round takes the pairs the previous round
+// added (the root's pairs in the first), adds their hierarchy
+// generalizations, then applies every mapping function triggered by an
+// attribute among those pairs or the generalizations to the whole
+// event. Mapping outputs are generalized in the next round; the
+// hierarchy's own additions are not: Ancestors is transitive, so one
+// pass per pair is complete, and another would climb past
+// MaxGeneralization (the loss knob). The loop stops after a round that
+// adds no mapping output, or when MaxRounds runs out (Truncated).
+// origins, when non-nil, receives each pair's Origin.
+func (sn *stageSnap) saturate(e message.Event, origins *[]Origin) Result {
 	var res Result
-
-	root := e.Clone()
-	if sn.cfg.Synonyms {
-		root, res.SynonymRewrites = sn.rewriteEvent(root)
-	}
-	res.Events = []message.Event{root}
-
+	res.Event, res.SynonymRewrites = sn.rewrite(e, origins)
 	if !sn.cfg.Hierarchy && !sn.cfg.Mappings {
 		return res
 	}
-
 	maxRounds := sn.cfg.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
 	}
-	maxEvents := sn.cfg.MaxEvents
-	if maxEvents <= 0 {
-		maxEvents = DefaultMaxEvents
-	}
-
-	// derived tracks provenance: events produced by the hierarchy stage
-	// do not re-enter it. Ancestors is transitive, so one generalization
-	// pass per derivation is complete; re-entering would let repeated
-	// rounds climb past the MaxGeneralization bound (the loss knob).
-	type derived struct {
-		ev     message.Event
-		fromCH bool
-	}
-
-	seen := map[string]bool{root.Signature(): true}
-	frontier := []derived{{ev: root}}
-
-	admit := func(ev message.Event) bool {
-		sig := ev.Signature()
-		if seen[sig] {
-			res.Deduplicated++
+	ev := &res.Event
+	add := func(p message.Pair, o Origin) bool {
+		if !ev.AddUnique(p.Attr, p.Val) {
 			return false
 		}
-		if len(res.Events) >= maxEvents {
-			res.Truncated = true
-			return false
+		if origins != nil {
+			*origins = append(*origins, o)
 		}
-		seen[sig] = true
-		res.Events = append(res.Events, ev)
 		return true
 	}
-
-	for round := 0; round < maxRounds && len(frontier) > 0; round++ {
-		var next []derived
-		for _, d := range frontier {
-			if sn.cfg.Hierarchy && !d.fromCH {
-				if gen, added := sn.generalize(d.ev); added > 0 {
-					res.HierarchyPairs += added
-					if admit(gen) {
-						next = append(next, derived{ev: gen, fromCH: true})
-					}
-				}
+	for start := 0; start < ev.Len(); res.Rounds++ {
+		if res.Rounds == maxRounds {
+			res.Truncated = true
+			break
+		}
+		end := ev.Len()
+		if sn.cfg.Hierarchy {
+			for i := start; i < end; i++ {
+				res.HierarchyPairs += sn.generalize(ev.Pair(i), add)
 			}
-			if sn.cfg.Mappings {
-				for _, f := range sn.maps.Applicable(d.ev) {
-					res.MappingCalls++
-					pairs := f.Apply(d.ev)
-					if len(pairs) == 0 {
-						continue
-					}
-					child := d.ev.Clone()
-					added := 0
-					for _, p := range pairs {
-						if child.AddUnique(p.Attr, p.Val) {
-							added++
-						}
-					}
-					if added == 0 {
-						continue
-					}
-					res.MappingPairs += added
-					if admit(child) {
-						next = append(next, derived{ev: child})
+		}
+		mid := ev.Len()
+		if sn.cfg.Mappings {
+			for _, f := range sn.maps.applicable(ev.Pairs()[start:mid]) {
+				res.MappingCalls++
+				var o Origin
+				if origins != nil {
+					o = MappingOrigin(f.Name())
+				}
+				for _, p := range f.Apply(*ev) {
+					if add(p, o) {
+						res.MappingPairs++
 					}
 				}
 			}
 		}
-		if len(next) > 0 {
-			res.Rounds++
+		if ev.Len() == end {
+			break // nothing added: the event is saturated
 		}
-		frontier = next
+		start = mid
 	}
 	return res
 }
 
-// rewriteEvent maps attributes (and optionally string values) to their
-// synonym roots, returning the rewritten event and the rewrite count.
-func (sn *stageSnap) rewriteEvent(e message.Event) (message.Event, int) {
-	out := message.Event{}
+// rewrite returns a private copy of the event with attributes (and
+// optionally string values) mapped to their synonym roots, and the
+// rewrite count.
+func (sn *stageSnap) rewrite(e message.Event, origins *[]Origin) (message.Event, int) {
+	out := e.Clone()
+	if origins != nil {
+		*origins = make([]Origin, out.Len())
+		for i := range *origins {
+			(*origins)[i] = OriginOriginal
+		}
+	}
+	if !sn.cfg.Synonyms {
+		return out, 0
+	}
 	rewrites := 0
-	for _, p := range e.Pairs() {
-		attr, changed := sn.syn.Canonical(p.Attr)
-		if changed {
+	pairs := out.Pairs() // out is private: rewrite in place
+	for i := range pairs {
+		n := rewrites
+		if attr, changed := sn.syn.Canonical(pairs[i].Attr); changed {
+			pairs[i].Attr = attr
 			rewrites++
 		}
-		val := p.Val
-		if sn.cfg.SynonymValues && val.Kind() == message.KindString {
-			if s, ch := sn.syn.Canonical(val.Str()); ch {
-				val = message.String(s)
+		if sn.cfg.SynonymValues && pairs[i].Val.Kind() == message.KindString {
+			if s, changed := sn.syn.Canonical(pairs[i].Val.Str()); changed {
+				pairs[i].Val = message.String(s)
 				rewrites++
 			}
 		}
-		out.Add(attr, val)
+		if origins != nil && rewrites > n {
+			(*origins)[i] = OriginSynonym
+		}
 	}
 	return out, rewrites
 }
 
-// generalize returns a copy of the event augmented with every
-// generalized variant of its pairs: for each pair whose attribute is a
-// known concept, pairs with ancestor attributes are added; for each
-// string value that is a known concept, pairs with ancestor values are
-// added. Rule R2 holds because nothing is ever specialized.
-func (sn *stageSnap) generalize(e message.Event) (message.Event, int) {
-	out := e.Clone()
-	added := 0
+// generalize adds, through add, every generalization of one pair
+// within MaxGeneralization levels: ancestor attributes with the pair's
+// value, the pair's attribute with ancestor values, and each ancestor
+// attribute with each ancestor value. It returns the number added. Rule
+// R2 holds because nothing is ever specialized.
+func (sn *stageSnap) generalize(p message.Pair, add func(message.Pair, Origin) bool) int {
 	levels := sn.cfg.MaxGeneralization
-	for _, p := range e.Pairs() {
-		for _, anc := range sn.hier.Ancestors(p.Attr, levels) {
-			if out.AddUnique(anc, p.Val) {
-				added++
-			}
-		}
-		if p.Val.Kind() == message.KindString {
-			for _, anc := range sn.hier.Ancestors(p.Val.Str(), levels) {
-				if out.AddUnique(p.Attr, message.String(anc)) {
-					added++
-				}
-			}
+	attrs := sn.hier.Ancestors(p.Attr, levels)
+	var vals []string
+	if p.Val.Kind() == message.KindString {
+		vals = sn.hier.Ancestors(p.Val.Str(), levels)
+	}
+	added := 0
+	put := func(attr string, v message.Value) {
+		if add(message.Pair{Attr: attr, Val: v}, OriginHierarchy) {
+			added++
 		}
 	}
-	return out, added
+	for _, a := range attrs {
+		put(a, p.Val)
+	}
+	for _, v := range vals {
+		val := message.String(v)
+		put(p.Attr, val)
+		for _, a := range attrs {
+			put(a, val)
+		}
+	}
+	return added
 }
 
 // ProcessSubscription applies the subscription side of Figure 1: only

@@ -43,10 +43,10 @@ func jobStage(t *testing.T, cfg Config) *Stage {
 func TestStageSynonymRewrite(t *testing.T) {
 	st := jobStage(t, Config{Synonyms: true})
 	res := st.ProcessEvent(message.E("school", "Toronto", "work experience", 5))
-	if len(res.Events) != 1 {
-		t.Fatalf("Events = %d, want 1 (no CH/MF enabled)", len(res.Events))
+	if res.Event.Len() != 2 || res.Rounds != 0 {
+		t.Fatalf("event %v after %d rounds, want the 2 rewritten pairs (no CH/MF enabled)", res.Event, res.Rounds)
 	}
-	root := res.Events[0]
+	root := res.Event
 	if !root.Has("university") || !root.Has("professional experience") {
 		t.Errorf("root event not rewritten: %v", root)
 	}
@@ -89,35 +89,28 @@ func TestStageValueSynonyms(t *testing.T) {
 	}
 	st := NewStage(syn, nil, nil, Config{Synonyms: true, SynonymValues: true})
 	res := st.ProcessEvent(message.E("item", "automobile"))
-	if v, _ := res.Events[0].Get("item"); v.Str() != "car" {
-		t.Errorf("value synonym not applied: %v", res.Events[0])
+	if v, _ := res.Event.Get("item"); v.Str() != "car" {
+		t.Errorf("value synonym not applied: %v", res.Event)
 	}
 	// Off by default (paper-faithful attribute-level behaviour).
 	st2 := NewStage(syn, nil, nil, Config{Synonyms: true})
 	res2 := st2.ProcessEvent(message.E("item", "automobile"))
-	if v, _ := res2.Events[0].Get("item"); v.Str() != "automobile" {
-		t.Errorf("value synonyms must be off by default: %v", res2.Events[0])
+	if v, _ := res2.Event.Get("item"); v.Str() != "automobile" {
+		t.Errorf("value synonyms must be off by default: %v", res2.Event)
 	}
 }
 
 func TestStageHierarchyGeneralizesValues(t *testing.T) {
 	st := jobStage(t, Config{Hierarchy: true})
 	res := st.ProcessEvent(message.E("degree", "phd"))
-	if len(res.Events) != 2 {
-		t.Fatalf("Events = %d, want root + generalized", len(res.Events))
+	// The original pair first, then both ancestors of its value, each
+	// once, in the one saturated event.
+	want := message.E("degree", "phd", "degree", "degree", "degree", "graduate degree")
+	if !res.Event.Equal(want) || res.Event.Pair(0) != want.Pair(0) {
+		t.Errorf("saturated event = %v, want %v with the original pair first", res.Event, want)
 	}
-	gen := res.Events[1]
-	vals := gen.GetAll("degree")
-	var got []string
-	for _, v := range vals {
-		got = append(got, v.Str())
-	}
-	joined := strings.Join(got, ",")
-	if !strings.Contains(joined, "phd") || !strings.Contains(joined, "graduate degree") || !strings.Contains(joined, "degree") {
-		t.Errorf("generalized event misses ancestors: %v", gen)
-	}
-	if res.HierarchyPairs != 2 {
-		t.Errorf("HierarchyPairs = %d, want 2", res.HierarchyPairs)
+	if res.HierarchyPairs != 2 || res.Rounds != 1 || res.Truncated {
+		t.Errorf("HierarchyPairs = %d, Rounds = %d, Truncated = %v; want 2, 1, false", res.HierarchyPairs, res.Rounds, res.Truncated)
 	}
 }
 
@@ -126,11 +119,27 @@ func TestStageHierarchyGeneralizesAttributes(t *testing.T) {
 	mustIsA(t, h, "salary", "compensation")
 	st := NewStage(nil, h, nil, Config{Hierarchy: true})
 	res := st.ProcessEvent(message.E("salary", 90))
-	if len(res.Events) != 2 {
-		t.Fatalf("Events = %d, want 2", len(res.Events))
+	if want := message.E("salary", 90, "compensation", 90); !res.Event.Equal(want) {
+		t.Errorf("saturated event = %v, want %v", res.Event, want)
 	}
-	if v, ok := res.Events[1].Get("compensation"); !ok || v.IntVal() != 90 {
-		t.Errorf("attribute generalization missing: %v", res.Events[1])
+	if res.HierarchyPairs != 1 {
+		t.Errorf("HierarchyPairs = %d, want 1", res.HierarchyPairs)
+	}
+}
+
+// A pair whose attribute and value are both concepts generalizes in
+// both at once: the publication's salary band is also a compensation
+// band, so every ancestor attribute is paired with every ancestor value.
+func TestStageHierarchyGeneralizesAttributeAndValue(t *testing.T) {
+	h := NewHierarchy()
+	mustIsA(t, h, "salary", "compensation")
+	mustIsA(t, h, "six figures", "high")
+	st := NewStage(nil, h, nil, Config{Hierarchy: true})
+	res := st.ProcessEvent(message.E("salary", "six figures"))
+	want := message.E("salary", "six figures", "compensation", "six figures",
+		"salary", "high", "compensation", "high")
+	if !res.Event.Equal(want) || res.HierarchyPairs != 3 {
+		t.Errorf("saturated event = %v (%d hierarchy pairs), want %v (3)", res.Event, res.HierarchyPairs, want)
 	}
 }
 
@@ -139,11 +148,9 @@ func TestStageRuleR2NoSpecialization(t *testing.T) {
 	// variants: rule R2 of the paper.
 	st := jobStage(t, Config{Hierarchy: true})
 	res := st.ProcessEvent(message.E("degree", "degree"))
-	for _, ev := range res.Events {
-		for _, v := range ev.GetAll("degree") {
-			if v.Str() == "phd" || v.Str() == "msc" || v.Str() == "bsc" {
-				t.Fatalf("rule R2 violated: specialized value %q added to %v", v.Str(), ev)
-			}
+	for _, v := range res.Event.GetAll("degree") {
+		if v.Str() == "phd" || v.Str() == "msc" || v.Str() == "bsc" {
+			t.Fatalf("rule R2 violated: specialized value %q added to %v", v.Str(), res.Event)
 		}
 	}
 }
@@ -151,7 +158,7 @@ func TestStageRuleR2NoSpecialization(t *testing.T) {
 func TestStageGeneralizationLevelBound(t *testing.T) {
 	st := jobStage(t, Config{Hierarchy: true, MaxGeneralization: 1})
 	res := st.ProcessEvent(message.E("degree", "phd"))
-	gen := res.Events[len(res.Events)-1]
+	gen := res.Event
 	for _, v := range gen.GetAll("degree") {
 		if v.Str() == "degree" {
 			t.Fatalf("level bound 1 must stop at 'graduate degree', got %v", gen)
@@ -171,19 +178,13 @@ func TestStageGeneralizationLevelBound(t *testing.T) {
 func TestStageMappingDerivesEvent(t *testing.T) {
 	st := jobStage(t, Config{Synonyms: true, Mappings: true})
 	res := st.ProcessEvent(message.E("school", "Toronto", "graduation year", 1993))
-	if len(res.Events) != 2 {
-		t.Fatalf("Events = %d, want root + mapped", len(res.Events))
+	// The mapped pair joins the rewritten original pairs (Figure 1: the
+	// derived content still carries the original content).
+	want := message.E("university", "Toronto", "graduation year", 1993, "professional experience", 10)
+	if !res.Event.Equal(want) {
+		t.Errorf("saturated event = %v, want %v", res.Event, want)
 	}
-	mapped := res.Events[1]
-	if v, ok := mapped.Get("professional experience"); !ok || v.IntVal() != 10 {
-		t.Errorf("mapping result missing: %v", mapped)
-	}
-	// The derived event keeps its parent's pairs (Figure 1: new events
-	// still carry the original content).
-	if !mapped.Has("university") {
-		t.Errorf("derived event lost parent pairs: %v", mapped)
-	}
-	if res.MappingCalls == 0 || res.MappingPairs != 1 {
+	if res.MappingCalls != 1 || res.MappingPairs != 1 || res.Rounds != 1 {
 		t.Errorf("stats wrong: %+v", res)
 	}
 }
@@ -205,17 +206,9 @@ func TestStageFixpointMappingThenHierarchy(t *testing.T) {
 	st := NewStage(nil, h, m, Config{Hierarchy: true, Mappings: true})
 	res := st.ProcessEvent(message.E("position", "mainframe developer"))
 
-	// Expect some event to carry skill = legacy language.
-	found := false
-	for _, ev := range res.Events {
-		for _, v := range ev.GetAll("skill") {
-			if v.Str() == "legacy language" {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("fixpoint did not generalize mapped value; events: %v", res.Events)
+	want := message.E("position", "mainframe developer", "skill", "cobol", "skill", "legacy language")
+	if !res.Event.Equal(want) {
+		t.Fatalf("fixpoint did not generalize the mapped value: %v, want %v", res.Event, want)
 	}
 	if res.Rounds < 2 {
 		t.Errorf("Rounds = %d, want >= 2 (MF then CH)", res.Rounds)
@@ -244,19 +237,13 @@ func TestStageFixpointHierarchyThenMapping(t *testing.T) {
 	}
 	st := NewStage(nil, h, m, Config{Hierarchy: true, Mappings: true})
 	res := st.ProcessEvent(message.E("item", "sedan"))
-	found := false
-	for _, ev := range res.Events {
-		if ev.Has("needs") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("CH-derived value did not trigger mapping; events: %v", res.Events)
+	if want := message.E("item", "sedan", "item", "car", "needs", "insurance"); !res.Event.Equal(want) {
+		t.Fatalf("CH-derived value did not trigger the mapping: %v, want %v", res.Event, want)
 	}
 }
 
 func TestStageDeduplication(t *testing.T) {
-	// Two mapping functions deriving identical pairs produce one event.
+	// Two mapping functions deriving identical pairs add the pair once.
 	m := NewMappings()
 	for _, name := range []string{"f1", "f2"} {
 		if err := m.Add(FuncOf{
@@ -271,17 +258,17 @@ func TestStageDeduplication(t *testing.T) {
 	}
 	st := NewStage(nil, nil, m, Config{Mappings: true})
 	res := st.ProcessEvent(message.E("a", 0))
-	if len(res.Events) != 2 {
-		t.Fatalf("Events = %d, want 2 (duplicate suppressed)", len(res.Events))
+	if want := message.E("a", 0, "b", 1); !res.Event.Equal(want) {
+		t.Fatalf("saturated event = %v, want %v (duplicate suppressed)", res.Event, want)
 	}
-	if res.Deduplicated == 0 {
-		t.Error("Deduplicated counter should be positive")
+	if res.MappingCalls != 2 || res.MappingPairs != 1 {
+		t.Errorf("MappingCalls = %d, MappingPairs = %d; want 2 calls adding 1 pair", res.MappingCalls, res.MappingPairs)
 	}
 }
 
 func TestStageCycleTermination(t *testing.T) {
 	// Two mapping functions that keep deriving fresh pairs from each
-	// other's output: the rounds/events budget must stop the loop.
+	// other's output: the round budget must stop the loop.
 	m := NewMappings()
 	if err := m.Add(FuncOf{
 		FName:     "ping",
@@ -303,23 +290,22 @@ func TestStageCycleTermination(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	st := NewStage(nil, nil, m, Config{Mappings: true, MaxRounds: 3, MaxEvents: 10})
+	st := NewStage(nil, nil, m, Config{Mappings: true, MaxRounds: 3})
 	res := st.ProcessEvent(message.E("a", 0))
-	if len(res.Events) > 10 {
-		t.Fatalf("event budget exceeded: %d", len(res.Events))
-	}
-	if res.Rounds > 3 {
-		t.Fatalf("round budget exceeded: %d", res.Rounds)
+	if res.Rounds != 3 || !res.Truncated || res.Event.Len() != 4 {
+		t.Fatalf("%d rounds, truncated %v, event %v; want 3 rounds of one pair each, truncated", res.Rounds, res.Truncated, res.Event)
 	}
 }
 
 func TestStageTruncationFlag(t *testing.T) {
+	// A function triggered by its own output derives a distinct pair
+	// per call, so only MaxRounds stops it; a chain shorter than the
+	// bound saturates untruncated.
 	m := NewMappings()
-	// A single function that derives a distinct pair per call count.
 	calls := 0
 	if err := m.Add(FuncOf{
 		FName:     "fanout",
-		FTriggers: []string{"a"},
+		FTriggers: []string{"a", "x"},
 		FApply: func(e message.Event) []message.Pair {
 			calls++
 			return []message.Pair{{Attr: "x", Val: message.Int(int64(calls))}}
@@ -327,13 +313,29 @@ func TestStageTruncationFlag(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	st := NewStage(nil, nil, m, Config{Mappings: true, MaxRounds: 50, MaxEvents: 3})
+	st := NewStage(nil, nil, m, Config{Mappings: true, MaxRounds: 5})
 	res := st.ProcessEvent(message.E("a", 0))
 	if !res.Truncated {
-		t.Error("Truncated flag should be set when MaxEvents is hit")
+		t.Error("Truncated flag should be set when MaxRounds runs out while pairs are still added")
 	}
-	if len(res.Events) != 3 {
-		t.Errorf("Events = %d, want exactly MaxEvents", len(res.Events))
+	if res.Rounds != 5 || len(res.Event.GetAll("x")) != 5 {
+		t.Errorf("Rounds = %d, event %v; want 5 rounds adding x = 1..5", res.Rounds, res.Event)
+	}
+
+	chain := NewMappings()
+	for _, hop := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}} {
+		if err := chain.Add(PairMap{MapName: hop[0] + hop[1], Attr: hop[0], Match: message.Int(0),
+			Derived: []message.Pair{{Attr: hop[1], Val: message.Int(0)}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res = NewStage(nil, nil, chain, Config{Mappings: true, MaxRounds: 4}).ProcessEvent(message.E("a", 0))
+	if res.Truncated || res.Rounds != 3 || res.Event.Len() != 4 {
+		t.Errorf("3-hop chain under MaxRounds 4: %+v; want 3 rounds, 4 pairs, not truncated", res)
+	}
+	res = NewStage(nil, nil, chain, Config{Mappings: true, MaxRounds: 2}).ProcessEvent(message.E("a", 0))
+	if !res.Truncated || res.Event.Len() != 3 {
+		t.Errorf("3-hop chain under MaxRounds 2: %+v; want truncated after 3 pairs", res)
 	}
 }
 
@@ -341,7 +343,7 @@ func TestStageSyntacticModeIsIdentity(t *testing.T) {
 	st := jobStage(t, SyntacticConfig())
 	e := message.E("school", "Toronto", "graduation year", 1993)
 	res := st.ProcessEvent(e)
-	if len(res.Events) != 1 || !res.Events[0].Equal(e) {
+	if !res.Event.Equal(e) {
 		t.Errorf("syntactic mode must pass the event through untouched: %+v", res)
 	}
 	if res.SynonymRewrites+res.HierarchyPairs+res.MappingPairs != 0 {
@@ -352,7 +354,7 @@ func TestStageSyntacticModeIsIdentity(t *testing.T) {
 func TestStageNilComponentsSafe(t *testing.T) {
 	st := NewStage(nil, nil, nil, FullConfig())
 	res := st.ProcessEvent(message.E("a", 1))
-	if len(res.Events) != 1 {
+	if !res.Event.Equal(message.E("a", 1)) || res.Rounds != 0 {
 		t.Errorf("empty knowledge base should yield the root event only: %+v", res)
 	}
 	if st.Synonyms() == nil || st.Hierarchy() == nil || st.Mappings() == nil {

@@ -7,6 +7,14 @@
 // applications that may be desirable. It is also possible to use all
 // three approaches together."), and every lookup is hash-based, which is
 // the paper's central performance claim.
+//
+// Stage composes them into one saturation per publication: the event
+// is rewritten to root terms and then grows in place, round by round,
+// by hierarchy generalizations and mapping outputs until a round adds
+// nothing or MaxRounds runs out. Every derived pair is treated as a
+// fact about the one publication, so the matcher matches the single
+// saturated event (DESIGN.md §4 records the decision and how it
+// differs from matching each derived event separately).
 package semantic
 
 import (

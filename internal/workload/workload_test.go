@@ -151,12 +151,14 @@ func TestChainSeedTriggersFixpoint(t *testing.T) {
 	}
 	st := g.KB().Stage(semantic.Config{Mappings: true, MaxRounds: 8})
 	res := st.ProcessEvent(g.ChainSeed(0))
-	// hop0 derives hop1 derives hop2 …: expect ChainLength derived events.
-	if len(res.Events) != 5 {
-		t.Errorf("chain expansion produced %d events, want 5 (root + 4 hops)", len(res.Events))
+	// hop0 derives hop1 derives hop2 …: every hop's pair is in the one
+	// saturated event, one round each.
+	want := message.E("chain0-hop0", 0, "chain0-hop1", 1, "chain0-hop2", 2, "chain0-hop3", 3, "chain0-hop4", 4)
+	if !res.Event.Equal(want) {
+		t.Errorf("chain saturated to %v, want %v (root + 4 hops)", res.Event, want)
 	}
-	if res.Rounds < 4 {
-		t.Errorf("Rounds = %d, want >= 4", res.Rounds)
+	if res.Rounds != 4 || res.Truncated {
+		t.Errorf("Rounds = %d, Truncated = %v; want 4, false", res.Rounds, res.Truncated)
 	}
 }
 
