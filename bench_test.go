@@ -1023,45 +1023,3 @@ func BenchmarkMatchPushdown(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkPlanCache measures subscription compilation: warm hits the
-// plan cache (duplicate canonical forms share one compiled plan), cold
-// compiles a fresh canonical form every iteration.
-func BenchmarkPlanCache(b *testing.B) {
-	gen, err := workload.New(workload.Config{Seed: 55})
-	if err != nil {
-		b.Fatal(err)
-	}
-	subs := gen.Subscriptions(200000)
-	b.Run("warm", func(b *testing.B) {
-		m, err := matching.New("counting")
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range subs[:1024] {
-			if err := matching.Index(m, s); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Compile(subs[i%1024]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		m, err := matching.New("counting")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Compile(subs[i%len(subs)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

@@ -154,13 +154,15 @@ func (b *Broker) SetTracer(t *trace.Tracer) {
 // delivery for journal replay (skipping the dead-letter list).
 func (b *Broker) deliveryOutcome(n notify.Notification, _ notify.Route, err error, attempts int) bool {
 	tr := b.tracer.Load()
-	sc := b.subCountersFor(n.SubID)
-	if attempts > 1 {
+	sc := b.subCountersFor(n.SubID) // nil once unsubscribed
+	if sc != nil && attempts > 1 {
 		sc.retried.Add(uint64(attempts - 1))
 	}
 	if err == nil {
-		sc.delivered.Add(1)
-		sc.lastDelivery.Store(time.Now().UnixNano())
+		if sc != nil {
+			sc.delivered.Add(1)
+			sc.lastDelivery.Store(time.Now().UnixNano())
+		}
 		if n.JournalSeq != 0 {
 			b.ackDurable(n.SubID, n.JournalSeq)
 		}
@@ -171,7 +173,7 @@ func (b *Broker) deliveryOutcome(n notify.Notification, _ notify.Route, err erro
 	if n.JournalSeq != 0 {
 		parked = b.parkDurable(n.SubID, n.JournalSeq)
 	}
-	if !parked {
+	if !parked && sc != nil {
 		sc.deadLettered.Add(1)
 	}
 	kind := trace.KindDeadLetter
@@ -229,6 +231,7 @@ func (b *Broker) Subscribe(client string, preds []message.Predicate) (message.Su
 	}
 	b.mu.Lock()
 	b.subs[id] = client
+	b.addSubCounters(id)
 	f := b.forwarder
 	b.mu.Unlock()
 	if f != nil {
@@ -254,7 +257,6 @@ func (b *Broker) Unsubscribe(client string, id message.SubID) error {
 		if !had {
 			return fmt.Errorf("broker: %w %d", ErrUnknownSubscription, id)
 		}
-		b.dropSubCounters(id)
 		if f != nil {
 			// Detach kept the overlay interest alive; a real unsubscribe
 			// finally retracts it.
@@ -267,10 +269,10 @@ func (b *Broker) Unsubscribe(client string, id message.SubID) error {
 		return fmt.Errorf("broker: subscription %d belongs to %q, not %q: %w", id, owner, client, ErrNotOwner)
 	}
 	delete(b.subs, id)
+	b.dropSubCounters(id)
 	f := b.forwarder
 	b.mu.Unlock()
 	b.dropDurable(id)
-	b.dropSubCounters(id)
 	sub, had := b.engine.Subscription(id)
 	b.engine.Unsubscribe(id)
 	if f != nil && had {
@@ -400,7 +402,9 @@ func (b *Broker) publish(ev message.Event, pubID string, remote bool) (PublishRe
 		if !ok {
 			continue // raced with unsubscribe
 		}
-		b.subCountersFor(id).matched.Add(1)
+		if sc := b.subCountersFor(id); sc != nil {
+			sc.matched.Add(1)
+		}
 		n := notify.Notification{
 			SubID:      id,
 			Subscriber: sub.Subscriber,

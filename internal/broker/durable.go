@@ -242,7 +242,9 @@ func (b *Broker) parkDurable(id message.SubID, seq uint64) bool {
 	if wasParked, have := st.pending[seq]; !have || !wasParked {
 		st.pending[seq] = true
 		b.parked++
-		b.subCountersFor(id).parked.Add(1)
+		if sc := b.subCountersFor(id); sc != nil {
+			sc.parked.Add(1)
+		}
 	}
 	if seq > st.maxSeen {
 		st.maxSeen = seq

@@ -216,6 +216,7 @@ func (b *Broker) Restore(r io.Reader) error {
 			}
 			b.mu.Lock()
 			b.subs[s.ID] = s.Subscriber
+			b.addSubCounters(s.ID)
 			b.mu.Unlock()
 			if rec.Durable {
 				b.restoreDurable(s.ID, rec.Cursor)

@@ -153,6 +153,7 @@ func (b *Broker) DetachDurable(client string, id message.SubID) error {
 	}
 	b.detachedCount.Add(1)
 	delete(b.subs, id)
+	b.dropSubCounters(id)
 	delete(b.durable, id)
 	b.detaches++
 	j := b.journal
@@ -161,7 +162,6 @@ func (b *Broker) DetachDurable(client string, id message.SubID) error {
 		j.DeleteCursor(cursorKey(id))
 	}
 	b.engine.Unsubscribe(id)
-	b.dropSubCounters(id)
 	return nil
 }
 
@@ -200,6 +200,7 @@ func (b *Broker) faultIn(client string, id message.SubID) error {
 	}
 	b.mu.Lock()
 	b.subs[id] = client
+	b.addSubCounters(id)
 	b.durable[id] = &durableState{cursor: rec.Cursor, maxSeen: rec.Cursor, pending: make(map[uint64]bool)}
 	b.faultedIn++
 	b.mu.Unlock()

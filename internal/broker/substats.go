@@ -19,10 +19,13 @@ import (
 //
 // The counters live in a sync.Map keyed by SubID: subscription churn
 // is rare next to delivery traffic, so the map is read-mostly exactly
-// where sync.Map is cheap. Entries are created lazily on first
-// activity and dropped on unsubscribe/detach; a resumed subscription
-// starts its activity counters afresh (the durable cursor, not these
-// diagnostics, is the correctness state).
+// where sync.Map is cheap. An entry is created where its subscription
+// becomes resident and dropped where it stops being resident
+// (unsubscribe, detach), both under b.mu beside b.subs. The hot paths
+// only load: a notification still in flight at unsubscribe finds no
+// block and counts nothing, instead of bringing the block back for
+// good. A resumed subscription starts its activity counters afresh (the
+// durable cursor, not these diagnostics, is the correctness state).
 
 // subCounters is one subscription's accounting block.
 type subCounters struct {
@@ -34,18 +37,23 @@ type subCounters struct {
 	lastDelivery atomic.Int64  // unix nanos of the last successful delivery
 }
 
-// subCountersFor returns the accounting block for id, creating it on
-// first use.
+// subCountersFor returns the accounting block for id, or nil when the
+// subscription is not resident; callers skip a nil block.
 func (b *Broker) subCountersFor(id message.SubID) *subCounters {
 	if c, ok := b.subStats.Load(id); ok {
 		return c.(*subCounters)
 	}
-	c, _ := b.subStats.LoadOrStore(id, &subCounters{})
-	return c.(*subCounters)
+	return nil
+}
+
+// addSubCounters gives a subscription that just became resident a fresh
+// accounting block. Callers hold b.mu.
+func (b *Broker) addSubCounters(id message.SubID) {
+	b.subStats.Store(id, &subCounters{})
 }
 
 // dropSubCounters forgets a subscription's accounting (unsubscribe,
-// detach).
+// detach). Callers hold b.mu.
 func (b *Broker) dropSubCounters(id message.SubID) {
 	b.subStats.Delete(id)
 }

@@ -29,12 +29,12 @@ func newDifferentialEngine(t *testing.T, gen *workload.Generator, alg string) *E
 }
 
 // TestDifferentialOptimizedPipelineMatchesNaive is the safety net for
-// the whole optimizer stack: every optimized engine (plan cache +
-// predicate pushdown, one per matching algorithm) must produce exactly
+// the whole optimizer stack: every optimized engine (predicate
+// pushdown, one per matching algorithm) must produce exactly
 // the match sets of a reference engine running the Naive matcher —
 // across randomized subscriptions, repeated event shapes, and knowledge
 // deltas injected mid-stream (synonym, is-a and concept deltas). A plan
-// ordered into wrongness, an over-shared compiled plan, or a
+// ordered into wrongness, unique predicates shared wrongly, or a
 // subscription left indexed under a stale canonical form all surface
 // here as a match-set divergence.
 func TestDifferentialOptimizedPipelineMatchesNaive(t *testing.T) {
@@ -124,14 +124,6 @@ func TestDifferentialOptimizedPipelineMatchesNaive(t *testing.T) {
 					}
 				}
 			}
-
-			// The run must actually have exercised the plan cache it
-			// claims to cover, or the equivalence above proves nothing.
-			for _, e := range engines[1:] {
-				if e.Stats().PlanCacheHits == 0 {
-					t.Errorf("%s: plan cache never shared a compiled plan", e.MatcherName())
-				}
-			}
 		})
 	}
 }
@@ -139,9 +131,8 @@ func TestDifferentialOptimizedPipelineMatchesNaive(t *testing.T) {
 // TestDifferentialConcurrentPublishAndKnowledge drives publishers and a
 // knowledge-delta writer against one engine at once. Correctness of the
 // interleaving is covered by the sequential differential test; this one
-// exists to run under -race: the stage snapshot swap, the re-index and
-// the plan cache must tolerate publish/apply concurrency without data
-// races.
+// exists to run under -race: the stage snapshot swap and the re-index
+// must tolerate publish/apply concurrency without data races.
 func TestDifferentialConcurrentPublishAndKnowledge(t *testing.T) {
 	gen, err := workload.New(workload.Config{Seed: 41, SynonymProb: 0.7, ConceptProb: 0.5})
 	if err != nil {

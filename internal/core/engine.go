@@ -88,15 +88,6 @@ type Stats struct {
 	KBFullReindexes uint64
 	KBVersion       string // order-sensitive digest of the applied log
 
-	// Query-optimizer observability (DESIGN.md §12). Plan-cache counters
-	// come from the matcher (compiled subscription plans shared across
-	// duplicates); InternedTerms is the size of the process-wide
-	// string-intern table.
-	PlanCacheHits   uint64
-	PlanCacheMisses uint64
-	PlansCached     int
-	InternedTerms   int
-
 	benchCompatStats // deprecated, always-0 counters (benchcompat.go)
 }
 
@@ -225,14 +216,11 @@ func (e *Engine) SetMode(m Mode) error {
 // Every new form is compiled (which validates it) BEFORE the first
 // removal — validation is the only content-dependent failure of the
 // compile-and-add path — so a failed re-index leaves the matcher exactly
-// as it was, consistent with e.originals. After a successful re-index
-// the matcher re-estimates plan selectivity: the indexed population just
-// changed, so compile-time posting counts have gone stale. Callers hold
-// e.mu.
+// as it was, consistent with e.originals. Callers hold e.mu.
 func (e *Engine) reindexIDsLocked(ids []message.SubID) error {
 	plans := make([]*matching.Plan, len(ids))
 	for i, id := range ids {
-		p, err := e.matcher.Compile(e.indexedForm(e.originals[id]))
+		p, err := matching.Compile(e.indexedForm(e.originals[id]))
 		if err != nil {
 			return fmt.Errorf("core: re-indexing subscription %d: %w", id, err)
 		}
@@ -252,9 +240,6 @@ func (e *Engine) reindexIDsLocked(ids []message.SubID) error {
 		if err := e.matcher.Add(id, plans[i]); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("core: re-indexing subscription %d: %w", id, err)
 		}
-	}
-	if len(ids) > 0 {
-		e.matcher.Reestimate()
 	}
 	return firstErr
 }
@@ -280,7 +265,7 @@ func (e *Engine) Subscribe(s message.Subscription) error {
 	if _, dup := e.originals[s.ID]; dup {
 		return fmt.Errorf("core: subscription %d already exists", s.ID)
 	}
-	p, err := e.matcher.Compile(e.indexedForm(s))
+	p, err := matching.Compile(e.indexedForm(s))
 	if err != nil {
 		return err
 	}
@@ -375,13 +360,8 @@ func (e *Engine) Stats() Stats {
 	e.mu.RLock()
 	s := e.stats
 	s.Subscriptions = e.matcher.Size()
-	ps := e.matcher.PlanStats()
 	kb := e.kb
 	e.mu.RUnlock()
-	s.PlanCacheHits = ps.Hits
-	s.PlanCacheMisses = ps.Misses
-	s.PlansCached = ps.Cached
-	s.InternedTerms = message.InternedTerms()
 	if kb != nil {
 		v := kb.Version()
 		s.KBDeltas = uint64(v.Deltas)

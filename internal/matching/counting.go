@@ -18,10 +18,9 @@ import (
 //
 // As in counting, identical predicates appearing in many subscriptions
 // are stored once (unique-predicate table keyed by the predicate's
-// canonical form; plans arrive pre-deduplicated from the planner, so a
+// canonical form; plans arrive pre-deduplicated from Compile, so a
 // subscription holds each distinct predicate exactly once). Per
-// attribute — keyed by its interned symbol — there is an
-// operator-specific index:
+// attribute name there is an operator-specific index:
 //
 //   - equality:  hash  value → predicates               (O(1) probe)
 //   - ordering:  sorted threshold arrays per operator   (binary search)
@@ -41,38 +40,25 @@ import (
 // is kept; a subscription whose access predicate failed is never
 // touched, and each subscription is checked at most once per Match.
 type Counting struct {
-	planner
-	preds     map[string]*cPred               // canonical form → unique predicate
-	subs      map[message.SubID]*cSub         // indexed subscriptions
-	attrs     map[message.Sym]*attrIndex      // per-attribute operator indexes
-	notExists map[message.Sym]map[*cPred]bool // attr → not-exists predicates
-	plans     map[*Plan]*cPlan                // plan → its unique-predicate slots
+	preds     map[string]*cPred          // canonical form → unique predicate
+	subs      map[message.SubID]*cSub    // indexed subscriptions
+	attrs     map[string]*attrIndex      // attribute → operator indexes
+	notExists map[string]map[*cPred]bool // attribute → not-exists predicates
 	epoch     uint64
-	evSyms    []message.Sym // per-Match scratch: event attribute symbols
-	hits      []*cPred      // per-Match scratch: satisfied predicates with access members
-}
-
-// cPlan is the counting matcher's compiled form of a shared Plan: the
-// unique-predicate slots it references, built once and reused by every
-// subscription sharing the plan.
-type cPlan struct {
-	cpreds []*cPred
-	refs   int // subscriptions in this matcher using the plan
+	hits      []*cPred // per-Match scratch: satisfied predicates with access members
 }
 
 type cPred struct {
 	pred    message.Predicate
-	sym     message.Sym // interned attribute
-	access  []*cSub     // subscriptions whose access predicate this is
-	refs    int         // total references (for removal bookkeeping)
-	hitAt   uint64      // epoch of last satisfaction (per-event dedup)
-	ordered bool        // tracked by a sorted threshold index
+	access  []*cSub // subscriptions whose access predicate this is
+	refs    int     // total references (for removal bookkeeping)
+	hitAt   uint64  // epoch of last satisfaction (per-event dedup)
+	ordered bool    // tracked by a sorted threshold index
 }
 
 type cSub struct {
 	id     message.SubID
-	plan   *Plan
-	cpreds []*cPred // the plan's shared slots
+	cpreds []*cPred // the unique predicates of the subscription's plan
 	access *cPred   // the slot whose access list holds this subscription
 	pos    int      // index in access.access
 }
@@ -136,12 +122,10 @@ func (t *thresholds) remove(p *cPred) {
 // NewCounting returns an empty counting matcher.
 func NewCounting() *Counting {
 	return &Counting{
-		planner:   newPlanner(),
 		preds:     make(map[string]*cPred),
 		subs:      make(map[message.SubID]*cSub),
-		attrs:     make(map[message.Sym]*attrIndex),
-		notExists: make(map[message.Sym]map[*cPred]bool),
-		plans:     make(map[*Plan]*cPlan),
+		attrs:     make(map[string]*attrIndex),
+		notExists: make(map[string]map[*cPred]bool),
 	}
 }
 
@@ -156,11 +140,11 @@ func (m *Counting) Size() int { return len(m.subs) }
 // subscriptions is what makes it sublinear).
 func (m *Counting) UniquePredicates() int { return len(m.preds) }
 
-func (m *Counting) attr(sym message.Sym) *attrIndex {
-	ai := m.attrs[sym]
+func (m *Counting) attr(name string) *attrIndex {
+	ai := m.attrs[name]
 	if ai == nil {
 		ai = &attrIndex{eq: make(map[string][]*cPred)}
-		m.attrs[sym] = ai
+		m.attrs[name] = ai
 	}
 	return ai
 }
@@ -173,25 +157,17 @@ func (m *Counting) Add(id message.SubID, p *Plan) error {
 	if _, dup := m.subs[id]; dup {
 		return fmt.Errorf("matching: subscription %d already indexed", id)
 	}
-	cp := m.plans[p]
-	if cp == nil {
-		cp = &cPlan{cpreds: make([]*cPred, 0, p.NumPreds())}
-		for i := range p.Preds() {
-			pp := &p.Preds()[i]
-			u := m.preds[pp.Canon]
-			if u == nil {
-				u = &cPred{pred: pp.Pred, sym: pp.Sym}
-				m.preds[pp.Canon] = u
-				m.indexPredicate(u)
-			}
-			cp.cpreds = append(cp.cpreds, u)
+	cs := &cSub{id: id, cpreds: make([]*cPred, len(p.preds))}
+	for i := range p.preds {
+		pp := &p.preds[i]
+		u := m.preds[pp.Canon]
+		if u == nil {
+			u = &cPred{pred: pp.Pred}
+			m.preds[pp.Canon] = u
+			m.indexPredicate(u)
 		}
-		m.plans[p] = cp
-	}
-	cp.refs++
-	cs := &cSub{id: id, plan: p, cpreds: cp.cpreds}
-	for _, u := range cp.cpreds {
 		u.refs++
+		cs.cpreds[i] = u
 		if a := cs.access; a == nil || accessBefore(u, a) {
 			cs.access = u
 		}
@@ -199,7 +175,6 @@ func (m *Counting) Add(id message.SubID, p *Plan) error {
 	cs.pos = len(cs.access.access)
 	cs.access.access = append(cs.access.access, cs)
 	m.subs[id] = cs
-	m.retain(p)
 	return nil
 }
 
@@ -216,7 +191,7 @@ func accessBefore(u, a *cPred) bool {
 // operator structures.
 func (m *Counting) indexPredicate(cp *cPred) {
 	p := cp.pred
-	ai := m.attr(cp.sym)
+	ai := m.attr(p.Attr)
 	ai.n++
 	switch p.Op {
 	case message.OpEq:
@@ -224,10 +199,10 @@ func (m *Counting) indexPredicate(cp *cPred) {
 	case message.OpExists:
 		ai.exists = append(ai.exists, cp)
 	case message.OpNotExists:
-		set := m.notExists[cp.sym]
+		set := m.notExists[p.Attr]
 		if set == nil {
 			set = make(map[*cPred]bool)
-			m.notExists[cp.sym] = set
+			m.notExists[p.Attr] = set
 		}
 		set[cp] = true
 	case message.OpLt, message.OpLe, message.OpGt, message.OpGe:
@@ -269,24 +244,19 @@ func (m *Counting) Remove(id message.SubID) bool {
 	a.access[cs.pos].pos = cs.pos
 	a.access[last] = nil
 	a.access = a.access[:last]
-	cp := m.plans[cs.plan]
-	for _, u := range cp.cpreds {
+	for _, u := range cs.cpreds {
 		u.refs--
 		if u.refs == 0 {
 			m.unindexPredicate(u)
 			delete(m.preds, u.pred.Canonical())
 		}
 	}
-	if cp.refs--; cp.refs == 0 {
-		delete(m.plans, cs.plan)
-	}
-	m.release(cs.plan)
 	return true
 }
 
 func (m *Counting) unindexPredicate(cp *cPred) {
 	p := cp.pred
-	ai := m.attrs[cp.sym]
+	ai := m.attrs[p.Attr]
 	if ai == nil {
 		return
 	}
@@ -294,7 +264,7 @@ func (m *Counting) unindexPredicate(cp *cPred) {
 		// The attribute's last predicate: drop the whole entry, so
 		// subscriptions on ever-fresh attribute names leave nothing
 		// behind.
-		delete(m.attrs, cp.sym)
+		delete(m.attrs, p.Attr)
 	}
 	removeFrom := func(s []*cPred) []*cPred {
 		for i := range s {
@@ -314,9 +284,9 @@ func (m *Counting) unindexPredicate(cp *cPred) {
 	case message.OpExists:
 		ai.exists = removeFrom(ai.exists)
 	case message.OpNotExists:
-		delete(m.notExists[cp.sym], cp)
-		if len(m.notExists[cp.sym]) == 0 {
-			delete(m.notExists, cp.sym)
+		delete(m.notExists[p.Attr], cp)
+		if len(m.notExists[p.Attr]) == 0 {
+			delete(m.notExists, p.Attr)
 		}
 	case message.OpLt:
 		if cp.ordered {
@@ -364,16 +334,10 @@ func (m *Counting) mark(cp *cPred) {
 // Match implements Matcher.
 func (m *Counting) Match(e message.Event, scratch []message.SubID) []message.SubID {
 	m.epoch++
-	m.evSyms = m.evSyms[:0]
 
 	// Phase 1: stamp every satisfied unique predicate.
 	for _, pair := range e.Pairs() {
-		sym, ok := message.Interned(pair.Attr)
-		if !ok {
-			continue // no indexed predicate can reference this attribute
-		}
-		m.evSyms = append(m.evSyms, sym)
-		ai := m.attrs[sym]
+		ai := m.attrs[pair.Attr]
 		if ai == nil {
 			continue
 		}
@@ -439,19 +403,13 @@ func (m *Counting) Match(e message.Event, scratch []message.SubID) []message.Sub
 	}
 
 	// Negation pass: a not-exists predicate is satisfied when the event
-	// lacks the attribute entirely. Event attributes that were never
-	// interned cannot collide with an indexed (hence interned) attribute.
-	if len(m.notExists) > 0 {
-	negation:
-		for sym, set := range m.notExists {
-			for _, es := range m.evSyms {
-				if es == sym {
-					continue negation
-				}
-			}
-			for cp := range set {
-				m.mark(cp)
-			}
+	// lacks the attribute entirely.
+	for attr, set := range m.notExists {
+		if e.Has(attr) {
+			continue
+		}
+		for cp := range set {
+			m.mark(cp)
 		}
 	}
 

@@ -12,7 +12,7 @@ import (
 // countingResidency counts every entry of a Counting matcher's indexes,
 // so a test can check that churn leaves none behind.
 type countingResidency struct {
-	preds, subs, plans, cachedPlans     int
+	preds, subs                         int
 	attrs, eqKeys, eqPreds              int
 	thresholds, between, exists, scan   int
 	notExists, accessLists, accessSlots int
@@ -20,11 +20,9 @@ type countingResidency struct {
 
 func (m *Counting) residency() countingResidency {
 	r := countingResidency{
-		preds:       len(m.preds),
-		subs:        len(m.subs),
-		plans:       len(m.plans),
-		cachedPlans: m.PlanStats().Cached,
-		attrs:       len(m.attrs),
+		preds: len(m.preds),
+		subs:  len(m.subs),
+		attrs: len(m.attrs),
 	}
 	for _, ai := range m.attrs {
 		r.eqKeys += len(ai.eq)
@@ -71,9 +69,9 @@ func checkAccessLists(t *testing.T, m *Counting) {
 }
 
 // Subscribe→unsubscribe churn with fresh values over a fixed attribute
-// set must leave the matcher exactly as large as it was: no unique
-// predicate, plan, index entry or access list outlives its last
-// subscription.
+// set, with fresh attribute names, and with many copies of one text must
+// leave the matcher exactly as large as it was: no unique predicate,
+// index entry or access list outlives its last subscription.
 func TestCountingChurnResidency(t *testing.T) {
 	m := NewCounting()
 	attrs := []string{"a0", "a1", "a2", "a3", "a4", "a5"}
@@ -145,6 +143,44 @@ func TestCountingChurnResidency(t *testing.T) {
 	}
 	if after := m.residency(); after != before {
 		t.Errorf("residency after 1000 fresh-attribute churn pairs:\n got  %+v\n want %+v", after, before)
+	}
+	// N copies of one subscription text (predicates permuted and
+	// repeated), removed in random order: identical subscriptions share
+	// unique predicates, and the last copy out takes them with it.
+	r := rand.New(rand.NewSource(7))
+	text := []message.Predicate{
+		message.Pred("dup-attr", message.OpEq, message.String("x")),
+		message.Pred("dup-attr", message.OpGe, message.Int(3)),
+		message.Pred("dup-absent", message.OpNotExists, message.None()),
+		message.Pred(attrs[0], message.OpEq, message.Int(0)), // a standing predicate
+	}
+	const copies = 500
+	ids := make([]message.SubID, copies)
+	for i := range ids {
+		preds := append([]message.Predicate(nil), text...)
+		r.Shuffle(len(preds), func(a, b int) { preds[a], preds[b] = preds[b], preds[a] })
+		preds = append(preds, preds[r.Intn(len(preds))])
+		ids[i] = next
+		if err := Index(m, message.NewSubscription(next, "c", preds...)); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	if got, want := m.UniquePredicates(), before.preds+3; got != want {
+		t.Errorf("%d copies of one text hold %d unique predicates, want %d", copies, got, want)
+	}
+	checkAccessLists(t, m)
+	if got := m.Match(message.E("dup-attr", "x", "dup-attr", 4, attrs[0], 0), nil); len(got) != copies {
+		t.Errorf("an event matching the duplicated text matched %d subscriptions, want %d", len(got), copies)
+	}
+	r.Shuffle(len(ids), func(a, b int) { ids[a], ids[b] = ids[b], ids[a] })
+	for _, id := range ids {
+		if !m.Remove(id) {
+			t.Fatalf("Remove(%d) reported absent", id)
+		}
+	}
+	if after := m.residency(); after != before {
+		t.Errorf("residency after removing %d copies of one text:\n got  %+v\n want %+v", copies, after, before)
 	}
 	checkAccessLists(t, m)
 }

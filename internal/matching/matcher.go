@@ -7,10 +7,10 @@
 // second. Beside it sit a matching tree and a naive linear-scan matcher
 // that serves as the correctness oracle and scaling baseline.
 //
-// Since PR 9 the matchers share a query-optimizer front end (plan.go):
-// subscriptions compile once into a canonical *Plan — predicates
-// deduplicated and ordered cheapest/most-selective first — and plans are
-// cached so duplicate subscriptions share one compiled form. All
+// Every matcher indexes the same compiled form (plan.go): Compile turns a
+// subscription into a *Plan, its predicates deduplicated and ordered by
+// operator class, then canonical form. Compiling is a pure function; no
+// matcher caches plans or keeps selectivity statistics. All
 // matchers must produce exactly the matches of the reference semantics
 // message.Subscription.Matches; the property tests in this package
 // enforce pairwise agreement on random workloads.
@@ -27,17 +27,12 @@ import (
 )
 
 // Matcher indexes compiled subscription plans and matches events against
-// them. The compile step is shared across implementations (Compile,
-// Reestimate and PlanStats are provided by the embedded planner); Add,
+// them. Compile is the one compile path for every implementation; Add,
 // Remove and Match are the algorithm-specific surface.
 type Matcher interface {
-	// Compile validates the subscription and returns its plan. Plans
-	// are cached by the subscription's canonical predicate form, so
-	// compiling a duplicate subscription returns the shared plan.
-	Compile(sub message.Subscription) (*Plan, error)
 	// Add indexes the plan under the given subscription ID. The plan
-	// must come from this matcher's Compile. Adding an ID that is
-	// already present is an error.
+	// must come from Compile. Adding an ID that is already present is
+	// an error.
 	Add(id message.SubID, p *Plan) error
 	// Remove deletes the subscription and reports whether it existed.
 	Remove(id message.SubID) bool
@@ -45,11 +40,6 @@ type Matcher interface {
 	// event to scratch and returns the extended slice. The appended
 	// region is sorted ascending. Passing nil scratch allocates.
 	Match(e message.Event, scratch []message.SubID) []message.SubID
-	// Reestimate re-orders cached plans under current selectivity
-	// statistics; engines call it after knowledge re-indexing.
-	Reestimate()
-	// PlanStats reports plan-cache hit/miss counters and sizes.
-	PlanStats() PlanStats
 	// Size reports the number of indexed subscriptions.
 	Size() int
 	// Name identifies the algorithm for reports and benchmarks.
@@ -59,7 +49,7 @@ type Matcher interface {
 // Index is the compile-and-add convenience used by tests, benchmarks and
 // single-subscription call sites.
 func Index(m Matcher, sub message.Subscription) error {
-	p, err := m.Compile(sub)
+	p, err := Compile(sub)
 	if err != nil {
 		return err
 	}
@@ -86,17 +76,15 @@ func Algorithms() []string { return []string{"naive", "counting", "tree"} }
 
 // Naive is the brute-force matcher: it evaluates every subscription's
 // plan against every event. It is the oracle for the indexed matchers
-// and the lower baseline of BenchmarkMatcher. Even the oracle benefits
-// from the optimizer front end: shared plans and pushdown ordering make
-// its full scan an honest lower bound rather than a strawman.
+// and the lower baseline of BenchmarkMatcher; pushdown ordering lets its
+// full scan exit each plan early.
 type Naive struct {
-	planner
 	subs map[message.SubID]*Plan
 }
 
 // NewNaive returns an empty naive matcher.
 func NewNaive() *Naive {
-	return &Naive{planner: newPlanner(), subs: make(map[message.SubID]*Plan)}
+	return &Naive{subs: make(map[message.SubID]*Plan)}
 }
 
 // Name implements Matcher.
@@ -114,27 +102,23 @@ func (m *Naive) Add(id message.SubID, p *Plan) error {
 		return fmt.Errorf("matching: subscription %d already indexed", id)
 	}
 	m.subs[id] = p
-	m.retain(p)
 	return nil
 }
 
 // Remove implements Matcher.
 func (m *Naive) Remove(id message.SubID) bool {
-	p, ok := m.subs[id]
-	if !ok {
+	if _, ok := m.subs[id]; !ok {
 		return false
 	}
 	delete(m.subs, id)
-	m.release(p)
 	return true
 }
 
 // Match implements Matcher.
 func (m *Naive) Match(e message.Event, scratch []message.SubID) []message.SubID {
-	m.view.reset(e)
 	out, start := scratch, len(scratch)
 	for id, p := range m.subs {
-		if p.eval(&m.view) {
+		if p.eval(e) {
 			out = append(out, id)
 		}
 	}

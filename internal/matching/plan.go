@@ -1,28 +1,23 @@
 package matching
 
 import (
+	"slices"
 	"sort"
 
 	"stopss/internal/message"
 )
 
-// This file gives the matcher the query-optimizer treatment (ROADMAP item
-// resolved by DESIGN.md §12): subscriptions compile once into a canonical
-// Plan — a deduplicated predicate list in pushdown order — and plans are
-// cached keyed on the subscription's canonical form, so duplicate
-// subscriptions share one compiled plan. Every matcher embeds the planner
-// and therefore shares the same compile path, cache, and selectivity
-// statistics; what differs per algorithm is only the index consulted
-// before a plan is verified.
+// Every matcher indexes the same compiled form of a subscription: a
+// Plan, its predicate conjunction with identical predicates collapsed to
+// one slot and the rest in a static pushdown order (DESIGN.md §12).
+// Compiling is a pure function of the subscription: no cache, no
+// selectivity statistics and no global state.
 
 // PlanPred is one compiled predicate of a Plan: the predicate itself plus
-// its interned attribute symbol, its canonical form (unique-predicate
-// identity), and its operator cost class for pushdown ordering.
+// its canonical form (unique-predicate identity).
 type PlanPred struct {
 	Pred  message.Predicate
-	Sym   message.Sym
 	Canon string
-	class uint8
 }
 
 // opClass buckets operators by evaluation cost and typical selectivity:
@@ -52,203 +47,49 @@ func opClass(op message.Op) uint8 {
 }
 
 // Plan is a compiled subscription: its predicate conjunction, identical
-// predicates collapsed to one slot, ordered cheapest/most-selective
-// first. Plans are immutable to callers and shared between subscriptions
-// whose predicate sets have the same canonical form; the owning planner
-// reference-counts them and may re-order preds in place on Reestimate.
+// predicates collapsed to one slot, ordered by operator class and then
+// canonical form. A Plan is immutable once compiled.
 type Plan struct {
-	key   string // subscription canonical form; the cache key
 	preds []PlanPred
-	refs  int // live subscriptions sharing this plan
 }
 
-// Key returns the canonical form the plan was compiled from.
-func (p *Plan) Key() string { return p.key }
+// Compile validates the subscription and returns its plan. Identical
+// predicates collapse to a single slot (they are satisfied together, so
+// one slot keeps conjunction counting exact for every algorithm), and the
+// order depends only on the predicate set, so permuted or duplicated
+// predicates compile to the same plan.
+func Compile(sub message.Subscription) (*Plan, error) {
+	if err := sub.Validate(); err != nil {
+		return nil, err
+	}
+	preds := make([]PlanPred, len(sub.Preds))
+	for i, pr := range sub.Preds {
+		preds[i] = PlanPred{Pred: pr, Canon: pr.Canonical()}
+	}
+	// Equal canonical forms share an operator, hence a class, so after
+	// the sort duplicates are adjacent; the stable sort keeps the first.
+	sort.SliceStable(preds, func(i, j int) bool {
+		a, b := &preds[i], &preds[j]
+		if ca, cb := opClass(a.Pred.Op), opClass(b.Pred.Op); ca != cb {
+			return ca < cb
+		}
+		return a.Canon < b.Canon
+	})
+	preds = slices.CompactFunc(preds, func(a, b PlanPred) bool { return a.Canon == b.Canon })
+	return &Plan{preds: preds}, nil
+}
 
-// Preds exposes the compiled predicates in current pushdown order. The
-// slice must not be mutated by callers.
+// Preds exposes the compiled predicates in pushdown order. The slice
+// must not be mutated by callers.
 func (p *Plan) Preds() []PlanPred { return p.preds }
 
-// NumPreds reports the number of deduplicated predicate slots.
-func (p *Plan) NumPreds() int { return len(p.preds) }
-
-// Refs reports how many indexed subscriptions currently share the plan.
-func (p *Plan) Refs() int { return p.refs }
-
-// eval verifies the plan against a resolved event view, predicates in
-// pushdown order with early exit.
-func (p *Plan) eval(v *eventView) bool {
+// eval verifies the plan against an event, predicates in pushdown order
+// with early exit.
+func (p *Plan) eval(e message.Event) bool {
 	for i := range p.preds {
-		if !v.satisfies(&p.preds[i]) {
+		if !p.preds[i].Pred.Matches(e) {
 			return false
 		}
 	}
 	return true
-}
-
-// viewPair is one event pair resolved to its interned attribute symbol.
-type viewPair struct {
-	sym message.Sym
-	val message.Value
-}
-
-// eventView resolves an event's pairs to interned symbols once per Match
-// call, so plan verification compares uint32 symbols instead of strings.
-// Pairs whose attribute was never interned are dropped: every plan
-// predicate's attribute is interned at compile time, so an un-interned
-// event attribute cannot satisfy (or block, for not-exists) any
-// predicate. The view is a reusable per-matcher scratch buffer; matchers
-// are not safe for concurrent use (package doc), so one view suffices.
-type eventView struct {
-	pairs []viewPair
-}
-
-func (v *eventView) reset(e message.Event) {
-	v.pairs = v.pairs[:0]
-	for _, p := range e.Pairs() {
-		if sym, ok := message.Interned(p.Attr); ok {
-			v.pairs = append(v.pairs, viewPair{sym: sym, val: p.Val})
-		}
-	}
-}
-
-func (v *eventView) hasSym(sym message.Sym) bool {
-	for i := range v.pairs {
-		if v.pairs[i].sym == sym {
-			return true
-		}
-	}
-	return false
-}
-
-// satisfies mirrors message.Predicate.Matches over the resolved view: a
-// predicate is satisfied if any attribute instance satisfies it, and
-// not-exists requires the attribute to be absent entirely.
-func (v *eventView) satisfies(pp *PlanPred) bool {
-	if pp.Pred.Op == message.OpNotExists {
-		return !v.hasSym(pp.Sym)
-	}
-	for i := range v.pairs {
-		if v.pairs[i].sym == pp.Sym && pp.Pred.Eval(v.pairs[i].val, true) {
-			return true
-		}
-	}
-	return false
-}
-
-// PlanStats reports the planner's cache and selectivity-table state.
-type PlanStats struct {
-	Hits   uint64 // Compile calls answered from the plan cache
-	Misses uint64 // Compile calls that built a new plan
-	Cached int    // distinct plans currently cached
-	Attrs  int    // attributes with live posting counts
-}
-
-// planner is the shared compile pipeline embedded by every matcher. It
-// owns the plan cache (canonical form → *Plan, reference-counted), the
-// per-attribute posting counts that drive selectivity ordering, and the
-// reusable event view.
-type planner struct {
-	cache    map[string]*Plan
-	postings map[message.Sym]int // attr → live indexed predicate slots
-	hits     uint64
-	misses   uint64
-	view     eventView
-}
-
-func newPlanner() planner {
-	return planner{
-		cache:    make(map[string]*Plan),
-		postings: make(map[message.Sym]int),
-	}
-}
-
-// Compile validates the subscription and returns its shared plan,
-// building and caching one on first sight of this canonical form.
-// Identical predicates within the subscription collapse to a single slot
-// (they are satisfied together, so one slot keeps conjunction counting
-// exact for every algorithm).
-func (pl *planner) Compile(sub message.Subscription) (*Plan, error) {
-	if err := sub.Validate(); err != nil {
-		return nil, err
-	}
-	key := sub.Canonical()
-	if p, ok := pl.cache[key]; ok {
-		pl.hits++
-		return p, nil
-	}
-	pl.misses++
-	p := &Plan{key: key}
-	seen := make(map[string]bool, len(sub.Preds))
-	for _, pr := range sub.Preds {
-		canon := pr.Canonical()
-		if seen[canon] {
-			continue
-		}
-		seen[canon] = true
-		p.preds = append(p.preds, PlanPred{
-			Pred:  pr,
-			Sym:   message.InternSym(pr.Attr),
-			Canon: canon,
-			class: opClass(pr.Op),
-		})
-	}
-	pl.order(p)
-	pl.cache[key] = p
-	return p, nil
-}
-
-// order sorts a plan's predicates cheapest/most-selective first: by
-// operator cost class, then by ascending posting count — an attribute
-// referenced by few indexed predicates is rare in the workload, so its
-// test is likelier to fail fast on events that do not carry it — with the
-// canonical form as a deterministic tiebreak.
-func (pl *planner) order(p *Plan) {
-	sort.SliceStable(p.preds, func(i, j int) bool {
-		a, b := &p.preds[i], &p.preds[j]
-		if a.class != b.class {
-			return a.class < b.class
-		}
-		if pa, pb := pl.postings[a.Sym], pl.postings[b.Sym]; pa != pb {
-			return pa < pb
-		}
-		return a.Canon < b.Canon
-	})
-}
-
-// retain records one subscription now sharing the plan and feeds its
-// predicates into the posting counts.
-func (pl *planner) retain(p *Plan) {
-	p.refs++
-	for i := range p.preds {
-		pl.postings[p.preds[i].Sym]++
-	}
-}
-
-// release undoes retain; the last release evicts the plan from the cache.
-func (pl *planner) release(p *Plan) {
-	p.refs--
-	for i := range p.preds {
-		sym := p.preds[i].Sym
-		if pl.postings[sym]--; pl.postings[sym] <= 0 {
-			delete(pl.postings, sym)
-		}
-	}
-	if p.refs <= 0 {
-		delete(pl.cache, p.key)
-	}
-}
-
-// Reestimate re-orders every cached plan under the current posting
-// counts. Engines call it after knowledge re-indexing churns the indexed
-// subscription population, when compile-time estimates have gone stale.
-func (pl *planner) Reestimate() {
-	for _, p := range pl.cache {
-		pl.order(p)
-	}
-}
-
-// PlanStats implements Matcher.
-func (pl *planner) PlanStats() PlanStats {
-	return PlanStats{Hits: pl.hits, Misses: pl.misses, Cached: len(pl.cache), Attrs: len(pl.postings)}
 }

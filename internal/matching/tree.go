@@ -23,7 +23,6 @@ import (
 // each leaf verifies the subscription's remaining plan predicates — in
 // pushdown order, skipping the ones already proven by the walk.
 type Tree struct {
-	planner
 	root *treeNode
 	subs map[message.SubID]*treeSub
 }
@@ -54,7 +53,7 @@ func newTreeNode() *treeNode {
 
 // NewTree returns an empty matching tree.
 func NewTree() *Tree {
-	return &Tree{planner: newPlanner(), root: newTreeNode(), subs: make(map[message.SubID]*treeSub)}
+	return &Tree{root: newTreeNode(), subs: make(map[message.SubID]*treeSub)}
 }
 
 // Name implements Matcher.
@@ -76,7 +75,7 @@ func (m *Tree) Add(id message.SubID, p *Plan) error {
 	// Pick the tree-indexable equality tests: one per attribute (a
 	// second equality on the same attribute stays in the verified
 	// remainder). Everything not consumed by an edge is verified at the
-	// leaf via the shared plan.
+	// leaf via the plan.
 	eq := make(map[string]message.Value)
 	for i := range p.Preds() {
 		pp := &p.Preds()[i]
@@ -100,7 +99,6 @@ func (m *Tree) Add(id message.SubID, p *Plan) error {
 	node.leaves[id] = ts
 	ts.leaf = node
 	m.subs[id] = ts
-	m.retain(p)
 	return nil
 }
 
@@ -153,7 +151,6 @@ func (m *Tree) Remove(id message.SubID) bool {
 	}
 	delete(m.subs, id)
 	delete(ts.leaf.leaves, id)
-	m.release(ts.plan)
 	// Empty nodes are left in place; they are cheap and the churn of
 	// restructuring paths is not worth it for this workload profile.
 	return true
@@ -161,7 +158,6 @@ func (m *Tree) Remove(id message.SubID) bool {
 
 // Match implements Matcher.
 func (m *Tree) Match(e message.Event, scratch []message.SubID) []message.SubID {
-	m.view.reset(e)
 	// Event attribute → set of canonical values (multi-valued events).
 	vals := make(map[string][]string, e.Len())
 	for _, p := range e.Pairs() {
@@ -185,7 +181,7 @@ func (m *Tree) Match(e message.Event, scratch []message.SubID) []message.SubID {
 			return
 		}
 		for _, ts := range n.leaves {
-			if m.verify(ts) {
+			if verify(ts, e) {
 				out = append(out, ts.id)
 			}
 		}
@@ -205,8 +201,8 @@ func (m *Tree) Match(e message.Event, scratch []message.SubID) []message.SubID {
 }
 
 // verify checks the plan predicates not consumed by tree edges, in
-// pushdown order against the resolved event view.
-func (m *Tree) verify(ts *treeSub) bool {
+// pushdown order.
+func verify(ts *treeSub, e message.Event) bool {
 	preds := ts.plan.Preds()
 	for i := range preds {
 		pp := &preds[i]
@@ -220,7 +216,7 @@ func (m *Tree) verify(ts *treeSub) bool {
 		if onEdge {
 			continue
 		}
-		if !m.view.satisfies(pp) {
+		if !pp.Pred.Matches(e) {
 			return false
 		}
 	}

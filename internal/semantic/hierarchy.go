@@ -3,8 +3,6 @@ package semantic
 import (
 	"fmt"
 	"sort"
-
-	"stopss/internal/message"
 )
 
 // Hierarchy is the concept hierarchy of the paper's second approach
@@ -42,7 +40,6 @@ func (h *Hierarchy) AddConcept(term string) error {
 		return fmt.Errorf("semantic: empty concept name")
 	}
 	h.nodes[term] = true
-	message.InternSym(term) // concepts join the global intern table
 	return nil
 }
 
@@ -67,8 +64,6 @@ func (h *Hierarchy) AddIsA(child, parent string) error {
 	}
 	h.nodes[child] = true
 	h.nodes[parent] = true
-	message.InternSym(child)
-	message.InternSym(parent)
 	h.parents[child] = append(h.parents[child], parent)
 	h.children[parent] = append(h.children[parent], child)
 	return nil

@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"stopss/internal/message"
 )
 
 // Synonyms maps semantically equivalent terms to a canonical "root" term
@@ -55,10 +53,6 @@ func (s *Synonyms) AddGroup(root string, synonyms ...string) error {
 		return fmt.Errorf("semantic: %q is already a synonym of %q and cannot become a root", root, existing)
 	}
 	s.root[root] = root
-	// Ontology terms join the global intern table (message.Sym): the
-	// matcher compares interned attribute symbols on its hot path, and a
-	// loaded ontology's terms are exactly the strings worth sharing.
-	message.InternSym(root)
 	for _, term := range synonyms {
 		if term == "" {
 			return fmt.Errorf("semantic: empty synonym in group %q", root)
@@ -66,7 +60,6 @@ func (s *Synonyms) AddGroup(root string, synonyms ...string) error {
 		if term == root {
 			continue
 		}
-		message.InternSym(term)
 		if existing, ok := s.root[term]; ok && existing != root {
 			return fmt.Errorf("semantic: %q already maps to root %q, cannot remap to %q", term, existing, root)
 		}

@@ -113,9 +113,9 @@ func TestTraceEndpointRawHash(t *testing.T) {
 	}
 }
 
-// TestMetricsOptimizerGauges: the /metrics exposition includes the
-// query-optimizer families (plan cache, intern table)
-// snapshotted from engine stats.
+// TestMetricsOptimizerGauges: the engine keeps no plan cache and no
+// intern table, so /metrics carries no query-optimizer family, and the
+// publish response no longer echoes the parsed event.
 func TestMetricsOptimizerGauges(t *testing.T) {
 	ts, _ := newStack(t, nil)
 
@@ -127,8 +127,15 @@ func TestMetricsOptimizerGauges(t *testing.T) {
 	}); code != http.StatusOK {
 		t.Fatal("subscribe failed")
 	}
-	if code, _ := post(t, ts, "/api/v1/publish", map[string]string{"event": "(degree, PhD)"}); code != http.StatusOK {
+	code, body := post(t, ts, "/api/v1/publish", map[string]string{"event": "(degree, PhD)"})
+	if code != http.StatusOK {
 		t.Fatal("publish failed")
+	}
+	if _, echoed := body["parsed"]; echoed {
+		t.Errorf("publish response still echoes the event: %v", body)
+	}
+	if m, ok := body["matches"].([]any); !ok || len(m) != 1 {
+		t.Errorf("publish response matches = %v, want one match", body["matches"])
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -141,13 +148,10 @@ func TestMetricsOptimizerGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(raw)
-	for _, want := range []string{
-		"# TYPE stopss_optimizer_plan_cache_misses_total counter",
-		"# TYPE stopss_optimizer_plans_cached gauge",
-		"# TYPE stopss_optimizer_interned_terms gauge",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("/metrics output lacks %q:\n%s", want, text)
-		}
+	if strings.Contains(text, "stopss_optimizer_") {
+		t.Fatalf("/metrics output still carries stopss_optimizer_* families:\n%s", text)
+	}
+	if !strings.Contains(text, "# TYPE stopss_runtime_goroutines gauge") {
+		t.Fatalf("/metrics output lacks the runtime gauges:\n%s", text)
 	}
 }

@@ -106,8 +106,7 @@ const healthTopK = 5
 // writeHealthMetrics appends the process-health and subscription-lag
 // families to a /metrics scrape: Go runtime vitals (goroutines, heap,
 // GC pause p99, scheduler latency p99) and the top-K laggiest durable
-// subscriptions, all snapshotted into scratch registries per scrape
-// like the optimizer gauges.
+// subscriptions, all snapshotted into scratch registries per scrape.
 func (s *Server) writeHealthMetrics(w http.ResponseWriter, labels map[string]string) {
 	run := metrics.NewRegistry()
 	run.SetRuntimeGauges(metrics.ReadRuntime())

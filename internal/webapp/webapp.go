@@ -20,14 +20,14 @@
 //	POST /api/v1/detach        {"client":"acme","id":1}   → page a durable sub out to the store
 //	POST /api/v1/unsubscribe   {"client":"acme","id":1}
 //	POST /api/v1/publish       {"event":"(school, Toronto)(degree, PhD)(graduation year, 1990)"}
+//	                             → {"matches":[…],"notified":N,"dropped":N,"pub_id":"…"}
 //	POST /api/v1/publish-from  {"client":"acme","event":"..."}  → enforces the advertisement
 //	POST /api/v1/advertise     {"client":"acme","advertisement":"..."}
 //	GET  /api/v1/overlaps?client=acme → subscriptions the advertisement can match
 //	POST /api/v1/explain       {"id":1,"event":"..."} → why (not) matched
 //	GET  /api/v1/mode          → {"mode":"semantic"}
 //	POST /api/v1/mode          {"mode":"syntactic"}
-//	GET  /api/v1/stats         → broker and engine counters (incl. plan-cache
-//	                             and intern-table gauges)
+//	GET  /api/v1/stats         → broker and engine counters
 //	GET  /api/v1/clients       → registered client names
 //	GET  /api/v1/subscriptions?client=acme → the client's subscriptions
 //	GET  /api/v1/snapshot      → durable broker state as JSON lines
@@ -184,7 +184,6 @@ type publishResponse struct {
 	Matches  []message.SubID `json:"matches"`
 	Notified int             `json:"notified"`
 	Dropped  int             `json:"dropped"`
-	Parsed   string          `json:"parsed"`
 	// PubID is the publication's trace identity; feed it (with '#'
 	// URL-encoded as %23) to GET /api/v1/trace/<pub_id>.
 	PubID string `json:"pub_id,omitempty"`
@@ -338,7 +337,6 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		Matches:  matches,
 		Notified: res.Notified,
 		Dropped:  res.Dropped,
-		Parsed:   sublang.FormatEvent(ev),
 		PubID:    res.PubID,
 	})
 }
@@ -394,7 +392,7 @@ func (s *Server) handlePublishFrom(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, publishResponse{
 		Matches: matches, Notified: res.Notified, Dropped: res.Dropped,
-		Parsed: sublang.FormatEvent(ev), PubID: res.PubID,
+		PubID: res.PubID,
 	})
 }
 
@@ -711,19 +709,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if err := src.reg.WritePrometheus(w, src.prefix, labels); err != nil {
 			return
 		}
-	}
-	// Query-optimizer gauges (plan cache, intern table)
-	// live in engine stats, not a long-lived registry: snapshot them
-	// into a scratch registry per scrape so they render with the same
-	// formatting and labels as everything else.
-	st := s.broker.Engine().Stats()
-	opt := metrics.NewRegistry()
-	opt.Counter("plan_cache_hits").Add(st.PlanCacheHits)
-	opt.Counter("plan_cache_misses").Add(st.PlanCacheMisses)
-	opt.Gauge("plans_cached").Set(int64(st.PlansCached))
-	opt.Gauge("interned_terms").Set(int64(st.InternedTerms))
-	if err := opt.WritePrometheus(w, "stopss_optimizer", labels); err != nil {
-		return
 	}
 	// Process health and per-subscription lag (health.go).
 	s.writeHealthMetrics(w, labels)
